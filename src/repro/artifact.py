@@ -15,8 +15,9 @@ The configurations are independent, so the batch fans out on the
 :mod:`repro.exec` engine (``--max-workers N``); workers return rendered
 payloads and the parent writes all files, so parallel output is
 byte-identical to the serial run.  Payloads are memoized in a
-content-addressed result store keyed on each model's structural graph
-hash, so repeated invocations are warm-start (``--no-cache`` /
+content-addressed result store keyed on each (domain, size) config
+plus a digest of the package sources, so repeated invocations are
+warm-start and any source edit invalidates the store (``--no-cache`` /
 ``--cache-dir`` control this).
 
 Runs are **crash-safe and resumable**: each output file is written

@@ -20,9 +20,10 @@ rates, tape statistics) after the reports::
 Exhibits are independent computations, so ``repro-report all
 --max-workers 4`` regenerates them as a task DAG on the
 :mod:`repro.exec` process pool, and rendered results are memoized in a
-content-addressed on-disk store (keyed on the registry's structural
-graph hashes) so a repeated invocation is warm-start; ``--no-cache`` /
-``--cache-dir`` control the store.
+content-addressed on-disk store (keyed on the exhibit name plus a
+digest of the package sources, so any source edit invalidates it and
+no graph is built just to key a lookup) so a repeated invocation is
+warm-start; ``--no-cache`` / ``--cache-dir`` control the store.
 
 Long multi-exhibit runs are resumable: ``--run-dir PATH`` journals
 every completed exhibit under ``PATH/.runstate/`` (crash-safe appends),

@@ -17,11 +17,11 @@ path:
       results = engine.run([Task("t1", fn, args=(...,))])
 
 * **store** (:mod:`.store`) — a content-addressed on-disk result store.
-  Keys hash the graph's structural fingerprint
-  (:func:`repro.graph.serialize.structural_hash`), the bindings, the
-  op-cost metadata, and the package version, so a second
-  ``repro-report``/``python -m repro.artifact`` invocation is
-  warm-start and any change that could alter a number misses cleanly.
+  Keys hash a task's declared parameters plus a per-process digest of
+  the package's own sources (and the Python/NumPy versions), so a
+  second ``repro-report``/``python -m repro.artifact`` invocation is
+  warm-start, any source edit invalidates the store, and no key ever
+  builds a model graph.
 
 * **tasks** (:mod:`.tasks`) — the picklable module-level task functions
   the artifact pipeline fans out (config reports, report exhibits,

@@ -543,7 +543,8 @@ class ExecutionEngine:
         ctx = (multiprocessing.get_context(self._mp_context)
                if self._mp_context else multiprocessing.get_context())
         # workers ignore SIGINT: a Ctrl-C lands on the whole process
-        # group, but the drain/abort decision belongs to the parent
+        # group, but the drain/abort decision belongs to the parent;
+        # SIGTERM is reset so terminate() kills without a drain line
         return ctx.Pool(processes=self.max_workers,
                         initializer=ignore_interrupts_in_worker)
 

@@ -97,9 +97,14 @@ def ignore_interrupts_in_worker() -> None:
     A terminal Ctrl-C is delivered to the whole foreground process
     group; workers must not die mid-task from it — the parent decides
     whether to drain or abort (terminating the pool on abort).
+
+    SIGTERM goes back to its default: a forked worker inherits the
+    parent's :class:`GracefulShutdown` handler, which would print a
+    spurious drain line and swallow the ``pool.terminate()`` signal.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 

@@ -1,15 +1,21 @@
 """Content-addressed on-disk result store (the warm-start layer).
 
 Every cacheable unit of the artifact pipeline — a per-config analysis
-report, a rendered table/figure, a sweep shard — is stored under a key
-that hashes *everything that could change the value*:
+report, a rendered table/figure, a sweep shard, a served query — is
+stored under a key that hashes *everything that could change the
+value*:
 
-* the structural hash of the model graph(s) involved
-  (:func:`repro.graph.serialize.structural_hash`, which already folds
-  in per-op-class cost metadata),
-* the bindings (size, subbatch, engine options),
-* the package version (:data:`repro.__version__`), so upgrades that
-  change formulas invalidate wholesale.
+* the task's declared parameters (exhibit name, domain, size,
+  subbatch, engine options, canonical request body), and
+* the per-process **source digest** (:func:`source_digest`): SHA-256
+  over every ``repro/**/*.py`` file of the running package plus the
+  Python and NumPy versions.
+
+Cost formulas, scaling constants, hardware profiles, model builders
+and report code are all source, so any edit to them invalidates the
+whole store — correct by construction for a cache.  No graph is built
+or hashed to compute a key: the digest reads ~0.9 MB of source once
+per process (a few milliseconds).
 
 Values are pickled to ``<root>/<kk>/<key>.pkl`` (two-level fan-out
 keeps directories small).  The store is append-mostly with an LRU-ish
@@ -21,17 +27,19 @@ metrics (``exec.store.*``) so ``--metrics`` shows cache effectiveness.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pickle
+import sys
 import tempfile
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from .. import __version__
 from ..obs.metrics import counter as _obs_counter
 
-__all__ = ["ResultStore", "content_key", "default_cache_dir"]
+__all__ = ["ResultStore", "content_key", "default_cache_dir",
+           "source_digest"]
 
 _HIT = _obs_counter("exec.store.hit")
 _MISS = _obs_counter("exec.store.miss")
@@ -43,15 +51,45 @@ _ERROR = _obs_counter("exec.store.error")
 _MISSING = object()
 
 
+#: the ``repro`` package directory whose sources :func:`source_digest`
+#: covers
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the package's own sources and runtime versions.
+
+    Covers the sorted relative paths and bytes of every ``*.py`` file
+    under the ``repro`` package (``__pycache__`` excluded) plus the
+    Python and NumPy versions.  Memoized per process: the sources a
+    process computes with are the ones it imported at startup.
+    """
+    import numpy
+
+    digest = hashlib.sha256(
+        f"{sys.version}\0{numpy.__version__}\0".encode("utf-8"))
+    sources = []
+    for folder, dirs, files in os.walk(_PACKAGE_DIR):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        sources += [os.path.relpath(os.path.join(folder, f), _PACKAGE_DIR)
+                    for f in files if f.endswith(".py")]
+    for rel in sorted(path.replace(os.sep, "/") for path in sources):
+        with open(os.path.join(_PACKAGE_DIR, rel), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
 def content_key(*parts: Any) -> str:
-    """SHA-256 key over canonical-JSON-encoded parts + package version.
+    """SHA-256 key over canonical-JSON-encoded parts + source digest.
 
     Parts must be JSON-encodable (dicts are key-sorted; floats keep
-    full ``repr`` precision through ``json``).  The package version is
-    always folded in so a release that changes cost formulas never
-    reuses stale results.
+    full ``repr`` precision through ``json``).  The
+    :func:`source_digest` is always folded in, so an edit to any
+    formula, constant or renderer never reuses a stale result.
     """
-    payload = {"version": __version__, "parts": parts}
+    payload = {"source": source_digest(), "parts": parts}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

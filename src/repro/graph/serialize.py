@@ -14,9 +14,7 @@ footprint, execution) gives identical results.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import weakref
 from typing import Any, Callable, Dict, Tuple
 
 from ..symbolic import as_expr
@@ -26,7 +24,7 @@ from .op import Op
 from .tensor import Tensor
 
 __all__ = ["save_graph", "load_graph", "save_graph_file",
-           "load_graph_file", "structural_hash", "cost_fingerprint"]
+           "load_graph_file"]
 
 
 # -- per-class attribute codecs ----------------------------------------------
@@ -336,67 +334,6 @@ def load_graph(data: Dict[str, Any]) -> Graph:
         graph.tensors[entry["name"]].requires_grad = \
             entry["requires_grad"]
     return graph
-
-
-def cost_fingerprint(graph: Graph) -> Dict[str, Any]:
-    """Declared cost metadata of every op class used by ``graph``.
-
-    The checkpoint encodes structure and op configuration but not the
-    per-class cost *declarations* (``cost_writes_outputs`` etc., see
-    :mod:`repro.check.costs`); a cache key built only from structure
-    would survive a metadata change that alters analysis results.
-    Sorted by class name so the dict is deterministic.
-    """
-    out: Dict[str, Any] = {}
-    for op in graph.ops:
-        cls = type(op)
-        out.setdefault(cls.__name__, {
-            "kind": cls.kind,
-            "cost_writes_outputs": bool(cls.cost_writes_outputs),
-            "cost_bytes_passes": cls.cost_bytes_passes,
-            "cost_degree": cls.cost_degree,
-            "is_optimizer": bool(cls.is_optimizer),
-        })
-    return {name: out[name] for name in sorted(out)}
-
-
-#: graph -> ((n_ops, n_tensors), digest); the digest is a pure function
-#: of the graph's analyzable structure, and graphs are append-only, so
-#: the op/tensor counts are a sufficient invalidation key — the same
-#: convention :func:`repro.graph.traversal.size_program` uses.
-_HASH_CACHE: "weakref.WeakKeyDictionary[Graph, Tuple[tuple, str]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def structural_hash(graph: Graph) -> str:
-    """Stable content hash of a graph's analyzable structure.
-
-    SHA-256 over the canonical-JSON checkpoint encoding plus the
-    per-op-class cost metadata.  Two graphs hash equal iff every
-    analysis over them (FLOPs, bytes, footprint, lint) is guaranteed to
-    agree: tensors, shapes, dtypes, op wiring, op configuration, and
-    declared cost semantics all feed the digest.  The hash is stable
-    across processes and Python versions (no ``id()``/``hash()``
-    ingredients), so it is usable as an on-disk cache-key component.
-
-    Memoized per graph object (the result-store keys every artifact
-    task by it, so a report run used to re-serialize the same unrolled
-    graphs dozens of times); recomputed if ops or tensors were added.
-    """
-    version = (len(graph.ops), len(graph.tensors))
-    cached = _HASH_CACHE.get(graph)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    payload = {
-        "checkpoint": save_graph(graph),
-        "op_costs": cost_fingerprint(graph),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    _HASH_CACHE[graph] = (version, digest)
-    return digest
 
 
 def save_graph_file(graph: Graph, path: str) -> None:

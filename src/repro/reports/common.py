@@ -72,6 +72,12 @@ class Series:
     y: List[float]
 
 
+def _csv_number(value) -> str:
+    """Full-precision CSV cell: ``repr(float(v))``, so NumPy scalars
+    print as ``1.0`` rather than ``np.float64(1.0)``."""
+    return "None" if value is None else repr(float(value))
+
+
 @dataclass
 class Figure:
     """A rendered evaluation figure (one paper figure)."""
@@ -99,7 +105,8 @@ class Figure:
         out = ["series,x,y"]
         for s in self.series:
             for x, y in zip(s.x, s.y):
-                out.append(f"{s.label},{x!r},{y!r}")
+                out.append(f"{s.label},{_csv_number(x)},"
+                           f"{_csv_number(y)}")
         return "\n".join(out)
 
 

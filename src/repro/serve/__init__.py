@@ -25,7 +25,7 @@ Production concerns are the point:
 
 * **request coalescing** (:class:`~repro.serve.service.AnalysisService`)
   — identical in-flight queries share one computation, keyed by the
-  same structural-hash content keys the result store uses, and every
+  same source-digest content keys the result store uses, and every
   caller receives byte-identical response bodies;
 * **warm results** — response bytes are memoized in the
   content-addressed :class:`~repro.exec.store.ResultStore`, so a

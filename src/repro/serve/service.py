@@ -2,17 +2,17 @@
 
 :class:`AnalysisService` is the in-process core of the server — the
 HTTP layer is a thin shell over :meth:`AnalysisService.query_bytes`.
-Each endpoint is a (normalize, compute, fingerprint) triple:
+Each endpoint is a (normalize, compute) pair:
 
 * ``normalize`` validates a request body and resolves defaults into a
   **canonical parameter dict** (malformed input raises
   :class:`~repro.errors.BindingError`, which the HTTP layer renders as
   structured E-BIND JSON with status 400);
-* the canonical params are folded into a **content key** via
-  :func:`repro.exec.store.content_key` together with the structural
-  hash of every graph the query reads — the same keying discipline as
-  :mod:`repro.exec.tasks`, so cache entries invalidate when formulas
-  or graphs change;
+* the endpoint name and canonical params are folded into a **content
+  key** via :func:`repro.exec.store.content_key`, which adds the
+  per-process source digest — the same keying discipline as
+  :mod:`repro.exec.tasks`: no graph is built to key a query, and any
+  source edit invalidates every cached response;
 * ``compute`` produces a JSON-able result dict, serialized once to
   canonical bytes.
 
@@ -231,12 +231,6 @@ def _compute_sweep(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _fingerprint_domain(params: Dict[str, Any]) -> str:
-    from ..exec.tasks import domain_hash
-
-    return domain_hash(params["domain"])
-
-
 # -- endpoint: /v1/plan ------------------------------------------------------
 
 def _normalize_plan(params: Mapping) -> Dict[str, Any]:
@@ -332,12 +326,6 @@ def _compute_lint(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _fingerprint_lint(params: Dict[str, Any]) -> str:
-    from ..exec.tasks import registry_fingerprint
-
-    return registry_fingerprint(params["domains"])
-
-
 # -- endpoint: /v1/exhibit ---------------------------------------------------
 
 def snapshot_exhibit(report: Any) -> Dict[str, Any]:
@@ -396,12 +384,6 @@ def _compute_exhibit(params: Dict[str, Any]) -> Dict[str, Any]:
     return snapshot_exhibit(ALL_REPORTS[params["name"]]())
 
 
-def _fingerprint_registry(params: Dict[str, Any]) -> str:
-    from ..exec.tasks import registry_fingerprint
-
-    return registry_fingerprint()
-
-
 # -- the endpoint registry ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -411,20 +393,14 @@ class Endpoint:
     name: str
     normalize: Callable[[Mapping], Dict[str, Any]]
     compute: Callable[[Dict[str, Any]], Any]
-    #: graph-state component of the content key (structural hashes of
-    #: whatever the computation reads); "" for state-free endpoints
-    fingerprint: Callable[[Dict[str, Any]], str] = lambda params: ""
 
 
 ENDPOINTS: Dict[str, Endpoint] = {
-    "sweep": Endpoint("sweep", _normalize_sweep, _compute_sweep,
-                      _fingerprint_domain),
-    "plan": Endpoint("plan", _normalize_plan, _compute_plan,
-                     _fingerprint_domain),
-    "lint": Endpoint("lint", _normalize_lint, _compute_lint,
-                     _fingerprint_lint),
+    "sweep": Endpoint("sweep", _normalize_sweep, _compute_sweep),
+    "plan": Endpoint("plan", _normalize_plan, _compute_plan),
+    "lint": Endpoint("lint", _normalize_lint, _compute_lint),
     "exhibit": Endpoint("exhibit", _normalize_exhibit,
-                        _compute_exhibit, _fingerprint_registry),
+                        _compute_exhibit),
 }
 
 
@@ -514,9 +490,7 @@ class AnalysisService:
                 hint=did_you_mean(str(endpoint), ENDPOINTS),
             )
         clean = spec.normalize(params)
-        key = content_key("serve", endpoint, clean,
-                          spec.fingerprint(clean))
-        return clean, key
+        return clean, content_key("serve", endpoint, clean)
 
     # -- queries -------------------------------------------------------
     def query(self, endpoint: str, params: Mapping) -> Dict[str, Any]:

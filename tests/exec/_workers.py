@@ -89,3 +89,11 @@ def fail_first_n(counter_path, n, x):
     if attempts <= n:
         raise RuntimeError(f"injected failure #{attempts}")
     return x * 2
+
+
+def sigterm_disposition(_):
+    """(ran in a worker, SIGTERM handler is the default) as seen from
+    inside the process that runs the task."""
+    import signal
+
+    return in_worker(), signal.getsignal(signal.SIGTERM) == signal.SIG_DFL

@@ -20,7 +20,7 @@ from repro.exec.engine import ExecutionEngine, Task
 from repro.exec.journal import STATE_DIRNAME, RunJournal
 from repro.exec.signals import GracefulShutdown
 
-from ._workers import double
+from ._workers import double, sigterm_disposition
 
 
 class TestGracefulShutdown:
@@ -42,6 +42,16 @@ class TestGracefulShutdown:
         with GracefulShutdown(signals=(signal.SIGUSR1,)):
             assert signal.getsignal(signal.SIGUSR1) != previous
         assert signal.getsignal(signal.SIGUSR1) == previous
+
+
+    def test_pool_workers_do_not_inherit_the_drain_handler(self):
+        # forked workers would otherwise print "SIGTERM received:
+        # draining..." and swallow the signal pool.terminate() sends
+        with open(os.devnull, "w") as log, GracefulShutdown(stream=log):
+            assert signal.getsignal(signal.SIGTERM) != signal.SIG_DFL
+            results = ExecutionEngine(max_workers=1).run(
+                [Task(id="t", fn=sigterm_disposition, args=(0,))])
+        assert results["t"].value == (True, True)
 
 
 class TestEngineDrain:

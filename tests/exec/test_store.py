@@ -19,10 +19,10 @@ class TestContentKey:
         assert (content_key({"x": 1, "y": 2})
                 == content_key({"y": 2, "x": 1}))
 
-    def test_folds_package_version(self, monkeypatch):
+    def test_folds_source_digest(self, monkeypatch):
         before = content_key("a")
-        monkeypatch.setattr("repro.exec.store.__version__",
-                            "999.0.0-test")
+        monkeypatch.setattr("repro.exec.store.source_digest",
+                            lambda: "0" * 64)
         assert content_key("a") != before
 
     def test_is_hex_digest(self):

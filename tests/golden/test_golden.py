@@ -40,7 +40,10 @@ def _tolerance(name: str) -> float:
 
 @pytest.mark.parametrize("name", EXHIBITS)
 def test_exhibit_matches_golden(name, update_golden):
-    snapshot = snapshot_exhibit(ALL_REPORTS[name]())
+    report = ALL_REPORTS[name]()
+    # CSV cells are plain floats, never NumPy reprs like np.float64(1.0)
+    assert "np." not in report.to_csv()
+    snapshot = snapshot_exhibit(report)
     if update_golden:
         path = save_golden(name, snapshot)
         pytest.skip(f"golden updated: {path}")

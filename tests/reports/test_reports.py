@@ -186,3 +186,4 @@ class TestFigures:
         lines = f.to_csv().splitlines()
         assert lines[0] == "series,x,y"
         assert len(lines) > 10
+        assert lines[1] == "learning curve,1.0,4.0"
