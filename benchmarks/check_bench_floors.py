@@ -29,6 +29,7 @@ FLOORS = Path(__file__).resolve().parent / "BENCH_floors.json"
 SECTION_FILES = {
     "server": "BENCH_server.json",
     "server_resilience": "BENCH_server_resilience.json",
+    "cold_pipeline": "BENCH_cold_pipeline.json",
 }
 DEFAULT_FILE = "BENCH_compile_eval.json"
 

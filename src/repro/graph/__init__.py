@@ -7,7 +7,7 @@ algorithmic FLOPs, memory accesses, and memory footprint are computed.
 
 from .autodiff import attach_sgd_update, build_training_step, differentiate
 from .fusion import fused_op_bytes, fused_total_bytes, fusion_groups
-from .graph import Graph
+from .graph import CostGroups, Graph
 from .inplace import inplace_aliases, liveness_peak_aliased
 from .serialize import (
     load_graph,
@@ -26,6 +26,7 @@ from .traversal import (
 from .validate import GraphValidationError, validate_graph
 
 __all__ = [
+    "CostGroups",
     "Graph",
     "Op",
     "Tensor",

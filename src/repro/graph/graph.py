@@ -4,17 +4,48 @@ The graph is a DAG of :class:`~repro.graph.op.Op` nodes connected by
 :class:`~repro.graph.tensor.Tensor` edges.  It provides aggregate
 algorithmic counts (FLOPs, bytes, parameters) as symbolic expressions —
 the quantities the paper profiles with TFprof, here derived exactly.
+
+Unrolled RNN training graphs repeat a few dozen distinct ops tens of
+thousands of times, so every per-op cost consumer reads the graph's
+:class:`CostGroups` table: one representative op and one count per
+:meth:`Op.cost_signature <repro.graph.op.Op.cost_signature>`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..symbolic import Add, Const, Expr
+from ..obs.tracer import TRACER as _TRACER
+from ..symbolic import Add, Const, Expr, Mul
 from .op import Op
 from .tensor import Dim, Tensor, TensorKind
 
-__all__ = ["Graph"]
+__all__ = ["CostGroups", "Graph"]
+
+
+class CostGroups(NamedTuple):
+    """A graph's ops grouped by cost signature.
+
+    ``ops[g]`` represents the ``counts[g]`` ops of group ``g`` (the
+    first one in program order); ``index[i]`` is the group of
+    ``graph.ops[i]``, so per-binding consumers evaluate each group's
+    terms once and still accumulate floats in program order.
+    """
+
+    ops: Tuple[Op, ...]
+    counts: Tuple[int, ...]
+    index: Tuple[int, ...]
+
+    def total(self, cost: Callable[[Op], Expr]) -> Expr:
+        """Exact Σ count × ``cost(op)`` over the groups.
+
+        Rational arithmetic is exact and ``Add`` canonical, so this is
+        the same interned ``Expr`` as summing ``cost`` over every op.
+        """
+        return Add.of(Const(0), *(
+            Mul.of(Const(n), cost(op))
+            for op, n in zip(self.ops, self.counts)
+        ))
 
 
 class Graph:
@@ -33,7 +64,8 @@ class Graph:
         self.tensors: Dict[str, Tensor] = {}
         self._op_names: set = set()
         self._name_counters: Dict[str, int] = {}
-        self._aggregate_cache: Dict[str, Expr] = {}
+        #: cost table and aggregates, cleared by :meth:`add_op`
+        self._aggregate_cache: Dict[str, object] = {}
 
     # -- construction -----------------------------------------------------
     def unique_name(self, prefix: str) -> str:
@@ -131,25 +163,46 @@ class Graph:
         sizes = [t.size_bytes() for t in self.parameters()]
         return Add.of(*sizes) if sizes else Const(0)
 
+    def cost_groups(self) -> CostGroups:
+        """The ops grouped by :meth:`Op.cost_signature` (cached)."""
+        table = self._aggregate_cache.get("groups")
+        if table is None:
+            with _TRACER.span("graph.cost_groups", "graph",
+                              graph=self.name, ops=len(self.ops)) as span:
+                slots: Dict[object, int] = {}
+                ops: List[Op] = []
+                counts: List[int] = []
+                index: List[int] = []
+                for op in self.ops:
+                    group = slots.setdefault(op.cost_signature(), len(ops))
+                    if group == len(ops):
+                        ops.append(op)
+                        counts.append(0)
+                    counts[group] += 1
+                    index.append(group)
+                table = CostGroups(tuple(ops), tuple(counts), tuple(index))
+                span.set(groups=len(ops))
+            self._aggregate_cache["groups"] = table
+        return table
+
+    def _aggregate(self, key: str, cost: Callable[[Op], Expr]) -> Expr:
+        if key not in self._aggregate_cache:
+            with _TRACER.span("graph.aggregate", "graph",
+                              graph=self.name, aggregate=key):
+                self._aggregate_cache[key] = self.cost_groups().total(cost)
+        return self._aggregate_cache[key]
+
     def total_flops(self) -> Expr:
-        """Sum of algorithmic FLOPs across all ops (one graph traversal).
+        """Sum of algorithmic FLOPs across all ops.
 
         Cached until the graph changes — large unrolled models reuse
         the same aggregate at every sweep binding.
         """
-        if "flops" not in self._aggregate_cache:
-            self._aggregate_cache["flops"] = Add.of(
-                Const(0), *(op.flops() for op in self.ops)
-            )
-        return self._aggregate_cache["flops"]
+        return self._aggregate("flops", lambda op: op.flops())
 
     def total_bytes_accessed(self) -> Expr:
         """Sum of algorithmic bytes accessed across all ops (cached)."""
-        if "bytes" not in self._aggregate_cache:
-            self._aggregate_cache["bytes"] = Add.of(
-                Const(0), *(op.bytes_accessed() for op in self.ops)
-            )
-        return self._aggregate_cache["bytes"]
+        return self._aggregate("bytes", lambda op: op.bytes_accessed())
 
     def algorithmic_io_bytes(self) -> Expr:
         """Bytes of training data consumed per step (paper's algorithmic IO)."""

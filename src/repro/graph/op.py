@@ -17,7 +17,8 @@ Subclasses additionally implement
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+import threading
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from .graph import Graph
 
 __all__ = ["Op"]
+
+#: per-op identity, never part of the cost signature
+_IDENTITY_ATTRS = frozenset(("name", "inputs", "outputs"))
+
+#: op class -> sorted names of every other attribute ever assigned on
+#: one of its instances.  Recorded by ``Op.__setattr__`` so that
+#: ``cost_signature`` never reads an instance ``__dict__``: CPython
+#: keeps attributes inline until the dict is asked for, and
+#: materializing it costs ~64 B on each of 100k+ resident ops.
+_STATE_NAMES: Dict[type, Tuple[str, ...]] = {}
+_STATE_LOCK = threading.Lock()
+_UNSET = object()
+
+
+def _register_state_name(cls: type, name: str) -> None:
+    with _STATE_LOCK:
+        names = _STATE_NAMES.get(cls, ())
+        if name not in names:
+            _STATE_NAMES[cls] = tuple(sorted((*names, name)))
 
 
 class Op:
@@ -67,7 +87,44 @@ class Op:
         self.inputs: Tuple[Tensor, ...] = tuple(inputs)
         self.outputs: Tuple[Tensor, ...] = tuple(outputs)
 
+    def __setattr__(self, name: str, value) -> None:
+        if (name not in _IDENTITY_ATTRS
+                and name not in _STATE_NAMES.get(type(self), ())):
+            _register_state_name(type(self), name)
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling and copying bypass __setattr__ unless routed here
+        for name, value in state.items():
+            setattr(self, name, value)
+
     # -- algorithmic accounting ------------------------------------------
+    def cost_signature(self) -> Hashable:
+        """Key under which ops have identical cost terms.
+
+        The op class, the ``(shape, dtype_bytes)`` of every operand
+        (shapes are tuples of hash-consed ``Expr``s, so hashing them is
+        cheap) and the value of every other attribute any instance of
+        the class was ever given — ``transpose_b``, ``kernel``, ``fn``,
+        ``axes`` … — derived generically, so a new op class needs no
+        registration.  Two ops that agree on all of it read the same
+        values from every attribute their cost methods can look up.
+        An op with an unhashable attribute gets a signature of its own.
+        """
+        names = _STATE_NAMES.get(type(self), ())
+        signature = (
+            type(self),
+            tuple([(t.shape, t.dtype_bytes) for t in self.inputs]),
+            tuple([(t.shape, t.dtype_bytes) for t in self.outputs]),
+            names,
+            tuple([getattr(self, n, _UNSET) for n in names]),
+        )
+        try:
+            hash(signature)
+        except TypeError:
+            return (type(self), self)
+        return signature
+
     def flops(self) -> Expr:
         """Algorithmic FLOPs; default 0 (data movement / bookkeeping ops)."""
         return Const(0)

@@ -10,6 +10,7 @@ the concrete counts for one configuration, exactly how Catamount binds
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ..symbolic import Const, Expr, Mul, as_expr
@@ -20,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Tensor", "TensorKind", "shape_elements"]
 
 Dim = Union[Expr, int]
+
+#: ``(dtype_bytes, shape) -> size Expr``, shared by every tensor: an
+#: unrolled graph has tens of thousands of tensors but a few dozen
+#: distinct shapes.  Weak values, like the ``Expr`` intern table.
+_SIZE_BYTES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 class TensorKind:
@@ -99,10 +105,14 @@ class Tensor:
         return self._num_elements
 
     def size_bytes(self) -> Expr:
-        """Symbolic allocated size in bytes, cached."""
+        """Symbolic allocated size in bytes, memoized on (dtype, shape)."""
         if self._size_bytes is None:
-            self._size_bytes = Mul.of(Const(self.dtype_bytes),
-                                      self.num_elements())
+            key = (self.dtype_bytes, self.shape)
+            size = _SIZE_BYTES.get(key)
+            if size is None:
+                size = _SIZE_BYTES.setdefault(key, Mul.of(
+                    Const(self.dtype_bytes), self.num_elements()))
+            self._size_bytes = size
         return self._size_bytes
 
     # -- roles ----------------------------------------------------------

@@ -27,6 +27,7 @@ import math
 from typing import Union
 
 from ..graph import Graph
+from ..obs.tracer import TRACER as _TRACER
 from ..ops import BatchMatMulOp, Conv2DFilterGradOp, Conv2DInputGradOp
 from ..ops import Conv2DOp, MatMulOp
 from ..symbolic import Add, Const, Expr, Mul, as_expr
@@ -106,10 +107,10 @@ def cache_aware_total_bytes(graph: Graph, cache_bytes: float) -> Expr:
     Non-matmul ops keep their algorithmic bytes; matmul-like ops use
     the tiled-streaming traffic model.
     """
-    parts = [Const(0)]
-    for op in graph.ops:
-        parts.append(cache_aware_op_bytes(op, cache_bytes))
-    return Add.of(*parts)
+    with _TRACER.span("hardware.cache_aware", "hardware",
+                      graph=graph.name):
+        return graph.cost_groups().total(
+            lambda op: cache_aware_op_bytes(op, cache_bytes))
 
 
 def cache_aware_op_bytes(op, cache_bytes: float) -> Expr:
@@ -133,18 +134,31 @@ def cache_aware_step_time(graph: Graph, accel, bindings=None) -> dict:
     when the aggregate intensity clears the ridge point.  Returns a
     dict with ``step_time``, total ``flops``/``bytes``, and the derived
     ``flop_utilization``.
+
+    Each cost group's terms are evaluated once; the per-op values are
+    then summed in program order, exactly as an op-by-op loop would.
     """
-    total_time = 0.0
-    total_flops = 0.0
-    total_bytes = 0.0
-    for op in graph.ops:
-        flops = op.flops().evalf(bindings)
-        byts = cache_aware_op_bytes(op, cache_bytes=accel.cache_bytes)
-        byts = byts.evalf(bindings)
-        total_time += max(flops / accel.achievable_flops,
-                          byts / accel.achievable_bandwidth)
-        total_flops += flops
-        total_bytes += byts
+    with _TRACER.span("hardware.cache_aware", "hardware",
+                      graph=graph.name):
+        table = graph.cost_groups()
+        per_group = []
+        for op in table.ops:
+            flops = op.flops().evalf(bindings)
+            byts = cache_aware_op_bytes(op, cache_bytes=accel.cache_bytes)
+            byts = byts.evalf(bindings)
+            per_group.append((
+                max(flops / accel.achievable_flops,
+                    byts / accel.achievable_bandwidth),
+                flops, byts,
+            ))
+        total_time = 0.0
+        total_flops = 0.0
+        total_bytes = 0.0
+        for group in table.index:
+            seconds, flops, byts = per_group[group]
+            total_time += seconds
+            total_flops += flops
+            total_bytes += byts
     return {
         "step_time": total_time,
         "flops": total_flops,

@@ -9,13 +9,27 @@ TFprof methodology (§4.1), but in closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..graph import Graph, Tensor, build_training_step
+from ..obs.tracer import TRACER as _TRACER
 from ..symbolic import Expr, Symbol
 
 __all__ = ["BuiltModel", "SweepPoint"]
+
+
+def traced_build(builder: Callable[..., "BuiltModel"]):
+    """Wrap a model builder in a ``models.build`` span."""
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs) -> "BuiltModel":
+        with _TRACER.span("models.build", "models",
+                          builder=builder.__name__):
+            return builder(*args, **kwargs)
+
+    return build
 
 
 @dataclass

@@ -17,7 +17,7 @@ from ..graph import Graph, validate_graph
 from ..ops import add, concat, embedding_lookup, matmul, reduce_mean, reshape
 from ..ops import softmax_cross_entropy, split
 from ..symbolic import Symbol, as_expr
-from .base import BuiltModel
+from .base import BuiltModel, traced_build
 from .cells import make_rhn_weights, rhn_step, zeros_like_state
 
 __all__ = ["build_char_rhn", "char_rhn_params", "DEFAULT_SEQ_LEN"]
@@ -39,6 +39,7 @@ def char_rhn_params(hidden, depth: int, vocab, embed_dim=None):
     return v * e + depth * per_sub + 2 * e * h + h * v + v
 
 
+@traced_build
 def build_char_rhn(
     *,
     hidden=None,

@@ -29,7 +29,7 @@ from ..ops import (
     tanh,
 )
 from ..symbolic import Symbol, as_expr
-from .base import BuiltModel
+from .base import BuiltModel, traced_build
 from .cells import bidirectional_lstm_layer, lstm_layer, make_lstm_weights
 
 __all__ = ["build_nmt", "DEFAULT_SEQ_LEN"]
@@ -50,6 +50,7 @@ def _embed_steps(g: Graph, table: Tensor, ids: Tensor, seq_len: int,
     ]
 
 
+@traced_build
 def build_nmt(
     *,
     hidden=None,

@@ -28,7 +28,7 @@ from ..ops import (
     softmax_cross_entropy,
 )
 from ..symbolic import Symbol, as_expr
-from .base import BuiltModel
+from .base import BuiltModel, traced_build
 
 __all__ = ["build_resnet", "RESNET_BLOCKS"]
 
@@ -81,6 +81,7 @@ def _bottleneck_block(g: Graph, x: Tensor, mid, cout, stride: int, *,
                 name=f"{name}/out")
 
 
+@traced_build
 def build_resnet(
     *,
     depth: int = 50,

@@ -33,7 +33,7 @@ from ..ops import (
     tanh,
 )
 from ..symbolic import Symbol, as_expr
-from .base import BuiltModel
+from .base import BuiltModel, traced_build
 from .cells import bidirectional_lstm_layer, lstm_layer, make_lstm_weights
 
 __all__ = ["build_speech", "DEFAULT_AUDIO_STEPS", "DEFAULT_DECODER_STEPS"]
@@ -65,6 +65,7 @@ def _unstack_steps(g: Graph, stacked: Tensor, batch, dim, *,
     ]
 
 
+@traced_build
 def build_speech(
     *,
     hidden=None,

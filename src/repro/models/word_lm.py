@@ -20,7 +20,7 @@ from ..graph import Graph, validate_graph
 from ..ops import concat, embedding_lookup, matmul, reduce_mean, reshape
 from ..ops import softmax_cross_entropy
 from ..symbolic import Symbol, as_expr
-from .base import BuiltModel
+from .base import BuiltModel, traced_build
 from .cells import lstm_layer, make_lstm_weights
 
 __all__ = ["build_word_lm", "word_lm_params", "DEFAULT_SEQ_LEN"]
@@ -55,6 +55,7 @@ def word_lm_params(hidden, layers: int, vocab, *, projection=None):
     return h * v + total + out_dim * v + v
 
 
+@traced_build
 def build_word_lm(
     *,
     hidden=None,

@@ -27,6 +27,7 @@ from ..graph import Graph
 from ..hardware.accelerator import AcceleratorConfig
 from ..hardware.interconnect import point_to_point_time
 from ..hardware.roofline import roofline_time
+from ..obs.tracer import TRACER as _TRACER
 
 __all__ = [
     "StageCosts",
@@ -54,17 +55,6 @@ class StageCosts:
         return 2.0 * self.param_bytes
 
 
-def _default_stage_of(name: str, stage_names: Sequence[str]) -> str:
-    clean = name
-    for prefix in ("grad/", "sgd/"):
-        if clean.startswith(prefix):
-            clean = clean[len(prefix):]
-    for stage in stage_names:
-        if clean.startswith(stage):
-            return stage
-    return stage_names[-1]
-
-
 def split_stages(
     graph: Graph,
     stage_prefixes: Mapping[str, Sequence[str]],
@@ -76,6 +66,12 @@ def split_stages(
     after stripping ``grad/`` / ``sgd/``).  Unmatched ops fall into the
     last stage.
     """
+    with _TRACER.span("planner.split_stages", "planner",
+                      graph=graph.name, stages=len(stage_prefixes)):
+        return _split_stages(graph, stage_prefixes, bindings)
+
+
+def _split_stages(graph, stage_prefixes, bindings) -> List[StageCosts]:
     order = list(stage_prefixes)
     costs = {
         s: StageCosts(s, 0.0, 0.0, 0.0, 0.0) for s in order
@@ -91,18 +87,31 @@ def split_stages(
                 return stage
         return order[-1]
 
-    for op in graph.ops:
+    # each distinct term is evaluated once; the values are summed per
+    # op in program order, exactly as an op-by-op loop would
+    table = graph.cost_groups()
+    flops = [op.flops().evalf(bindings) for op in table.ops]
+    byts = [op.bytes_accessed().evalf(bindings) for op in table.ops]
+    sizes: Dict[object, float] = {}
+
+    def size_of(t) -> float:
+        expr = t.size_bytes()
+        value = sizes.get(expr)
+        if value is None:
+            value = sizes[expr] = expr.evalf(bindings)
+        return value
+
+    for op, group in zip(graph.ops, table.index):
         stage = costs[stage_of(op.name)]
-        stage.flops += op.flops().evalf(bindings)
-        stage.bytes_accessed += op.bytes_accessed().evalf(bindings)
+        stage.flops += flops[group]
+        stage.bytes_accessed += byts[group]
         for out in op.outputs:
             if not out.is_persistent:
-                stage.activation_bytes += out.size_bytes().evalf(bindings)
+                stage.activation_bytes += size_of(out)
 
     for t in graph.tensors.values():
         if t.is_param:
-            costs[stage_of(t.name)].param_bytes += \
-                t.size_bytes().evalf(bindings)
+            costs[stage_of(t.name)].param_bytes += size_of(t)
 
     return [costs[s] for s in order]
 

@@ -18,10 +18,11 @@ in the paper's figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..graph import Graph, Op, Tensor
+from ..obs.tracer import TRACER as _TRACER
 
 __all__ = ["AllocatorConfig", "AllocationReport", "simulate_allocator"]
 
@@ -85,38 +86,39 @@ def simulate_allocator(
     allocated when produced, freed after their last consumer, and are
     swap candidates in LRU order when capacity pressure occurs.
     """
-    config = config or AllocatorConfig()
+    with _TRACER.span("runtime.allocator", "runtime", graph=graph.name,
+                      ops=len(order)):
+        return _replay(graph, order, sizes, config or AllocatorConfig())
+
+
+def _replay(graph: Graph, order: Sequence[Op], sizes: Mapping[Tensor, int],
+            config: AllocatorConfig) -> AllocationReport:
     report = AllocationReport()
 
+    # insertion order is the LRU order: least recently used first
     resident: Dict[Tensor, int] = {}
     swapped: Dict[Tensor, int] = {}
-    lru: List[Tensor] = []  # least-recently-used first
     pinned = 0
-    current_total = 0
-
-    def touch(t: Tensor) -> None:
-        if t in lru:
-            lru.remove(t)
-            lru.append(t)
-
-    def high_water() -> None:
-        nonlocal report
-        resident_bytes = pinned + sum(resident.values())
-        total = resident_bytes + sum(swapped.values())
-        report.peak_resident_bytes = max(report.peak_resident_bytes,
-                                         resident_bytes)
-        report.peak_total_bytes = max(report.peak_total_bytes, total)
-
+    resident_bytes = 0  # running totals of the two dicts' values
+    swapped_bytes = 0
     limit = config.usable_bytes
 
+    def high_water() -> None:
+        live = pinned + resident_bytes
+        report.peak_resident_bytes = max(report.peak_resident_bytes, live)
+        report.peak_total_bytes = max(report.peak_total_bytes,
+                                      live + swapped_bytes)
+
     def make_room(needed: int) -> None:
-        nonlocal report
+        nonlocal resident_bytes, swapped_bytes
         if limit is None:
             return
-        while pinned + sum(resident.values()) + needed > limit and lru:
-            victim = lru.pop(0)
+        while pinned + resident_bytes + needed > limit and resident:
+            victim = next(iter(resident))
             size = resident.pop(victim)
+            resident_bytes -= size
             swapped[victim] = size
+            swapped_bytes += size
             report.swapped_out_bytes += size
             report.swap_events += 1
 
@@ -139,17 +141,18 @@ def simulate_allocator(
             report.rounding_overhead_bytes += size - sizes[out]
             make_room(size)
             resident[out] = size
-            lru.append(out)
+            resident_bytes += size
         # inputs are touched (swapped ones would page back in; we only
         # track the footprint consequence: they become resident again)
         for t in op.inputs:
             if t in swapped:
                 size = swapped.pop(t)
+                swapped_bytes -= size
                 make_room(size)
                 resident[t] = size
-                lru.append(t)
-            else:
-                touch(t)
+                resident_bytes += size
+            elif t in resident:
+                resident[t] = resident.pop(t)  # most recently used
         high_water()
         # free dead activations
         seen = set()
@@ -160,9 +163,8 @@ def simulate_allocator(
             remaining[t] -= sum(1 for c in t.consumers if c is op)
             if remaining[t] == 0:
                 if t in resident:
-                    resident.pop(t)
-                    if t in lru:
-                        lru.remove(t)
-                swapped.pop(t, None)
+                    resident_bytes -= resident.pop(t)
+                if t in swapped:
+                    swapped_bytes -= swapped.pop(t)
 
     return report

@@ -77,3 +77,46 @@ class TestCapacityLimited:
             AllocatorConfig(capacity_bytes=int(pinned * 1.05)),
         )
         assert limited.peak_resident_bytes >= pinned
+
+
+class TestMatchesOracle:
+    """The dict-LRU replay against the list-based reference loop."""
+
+    @pytest.fixture(scope="class")
+    def overlay(self):
+        from repro.analysis.counters import StepCounts
+        from repro.models.registry import DOMAINS, build_symbolic
+
+        model = build_symbolic("word_lm")
+        entry = DOMAINS["word_lm"]
+        counts = StepCounts(model)
+        g = model.graph
+        sizes = [
+            evaluate_sizes(g, counts.bind(size, entry.subbatch))
+            for size in list(entry.sweep_sizes) + [6144, 8192]
+        ]
+        return g, topological_order(g), sizes
+
+    def test_fig10_overlay_at_12gb(self, overlay):
+        from .. import oracles
+
+        g, order, sizes = overlay
+        config = AllocatorConfig(capacity_bytes=12 * 10**9)
+        swapped = 0
+        for sizes_map in sizes:
+            report = simulate_allocator(g, order, sizes_map, config)
+            assert report == oracles.simulate_allocator(
+                g, order, sizes_map, config)
+            swapped += report.swap_events > 0
+        assert swapped > 0
+
+    def test_tiny_capacity(self, overlay, replay):
+        from .. import oracles
+
+        g, order, sizes = overlay
+        config = AllocatorConfig(capacity_bytes=4096)
+        for graph, schedule, sizes_map in [replay[:3], (g, order, sizes[0])]:
+            report = simulate_allocator(graph, schedule, sizes_map, config)
+            assert report.swap_events > 0
+            assert report == oracles.simulate_allocator(
+                graph, schedule, sizes_map, config)
