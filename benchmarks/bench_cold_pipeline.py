@@ -1,14 +1,15 @@
-"""Benchmark: the cold pipeline's per-op cost layers, grouped vs per op.
+"""Benchmark: the cold pipeline's per-op layers against their oracles.
 
 Each graph's cost table (``Graph.cost_groups``) holds one
 representative op per cost signature, so aggregates, the cache-aware
 Roofline and the stage split build and evaluate every distinct op
-cost once.  This bench times each layer against its op-by-op reference
+cost once; footprints replay int lists aligned with the graph's
+traversal index.  This bench times each layer against its reference
 loop in ``tests/oracles.py`` and records ``BENCH_cold_pipeline.json``:
 
 * ``cold_pipeline.<domain>`` — the FLOP + byte aggregates of each
   registry model's training graph, from a cold cost table:
-  ``oracle_s`` (Σ over every op), ``grouped_s`` (Σ count × term) and
+  ``oracle_s`` (Σ over every op), ``production_s`` (Σ count × term) and
   ``speedup``; the grouped result must be the *same interned* ``Expr``;
 * ``cold_pipeline.ablation_cache`` — the 14 cache-aware step-time
   calls of the cache-size ablation (its word-LM model, cold table);
@@ -16,6 +17,13 @@ loop in ``tests/oracles.py`` and records ``BENCH_cold_pipeline.json``:
 * ``cold_pipeline.allocator_fig10`` — the Figure 10 allocator overlay
   (word LM, nine sizes, 12 GB), dict LRU vs the list-based loop; the
   reports must be field-equal;
+* ``cold_pipeline.footprint_<domain>`` — the footprint of every size
+  in the domain's sweep (greedy schedule on as the sweep has it),
+  first call included: the production path starts from the traversal
+  index a model build leaves (wiring core only), so its size program
+  and liveness tables are built inside the timed region; the oracle
+  is the mapping-based body in ``tests/oracles.py``; the estimates
+  must be field-equal;
 * ``end_to_end.all_no_cache`` — wall time of one
   ``repro-report all --csv --no-cache`` process (recorded, not gated:
   it tracks the host as much as the code).
@@ -39,8 +47,11 @@ for _path in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
+from repro.analysis import estimate_footprint  # noqa: E402
 from repro.analysis.counters import StepCounts  # noqa: E402
+from repro.analysis.sweep import _GREEDY_OP_LIMIT  # noqa: E402
 from repro.graph import evaluate_sizes, topological_order  # noqa: E402
+from repro.graph import traversal  # noqa: E402
 from repro.hardware import V100_LIKE  # noqa: E402
 from repro.hardware.cache import cache_aware_step_time  # noqa: E402
 from repro.models.registry import DOMAINS, build_symbolic  # noqa: E402
@@ -65,10 +76,10 @@ def _best(fn, reset=lambda: None):
     return best, out
 
 
-def _row(oracle_s: float, grouped_s: float, **extra) -> dict:
+def _row(oracle_s: float, production_s: float, **extra) -> dict:
     return {"oracle_s": round(oracle_s, 6),
-            "grouped_s": round(grouped_s, 6),
-            "speedup": round(oracle_s / grouped_s, 2), **extra}
+            "production_s": round(production_s, 6),
+            "speedup": round(oracle_s / production_s, 2), **extra}
 
 
 def _bench_aggregates(key: str) -> dict:
@@ -131,6 +142,33 @@ def _bench_allocator() -> dict:
                 swapping_sizes=sum(r.swap_events > 0 for r in result))
 
 
+def _bench_footprint(key: str) -> dict:
+    """Every sweep point's footprint, from a freshly built index."""
+    model = build_symbolic(key)
+    graph = model.graph
+    entry = DOMAINS[key]
+    counts = StepCounts(model)
+    use_greedy = len(graph) <= _GREEDY_OP_LIMIT
+    bindings = [counts.bind(size, entry.subbatch)
+                for size in entry.sweep_sizes]
+
+    def run(estimate):
+        return [estimate(model, b, use_greedy=use_greedy)
+                for b in bindings]
+
+    def fresh_index():
+        # the state a model build leaves: wiring core and order only
+        traversal._INDEXES.pop(graph, None)
+        topological_order(graph)
+
+    oracle_s, reference = _best(lambda: run(oracles.estimate_footprint))
+    production_s, result = _best(lambda: run(estimate_footprint),
+                                 reset=fresh_index)
+    assert result == reference, "footprints must be field-equal"
+    return _row(oracle_s, production_s, points=len(bindings),
+                greedy=use_greedy, ops=len(graph.ops))
+
+
 def _all_no_cache_seconds() -> float:
     """One ``repro-report all --csv --no-cache`` process."""
     env = dict(os.environ)
@@ -148,6 +186,8 @@ def test_cold_pipeline(bench_json):
     section = {key: _bench_aggregates(key) for key in DOMAINS}
     section["ablation_cache"] = _bench_cache_aware()
     section["allocator_fig10"] = _bench_allocator()
+    for key in DOMAINS:
+        section[f"footprint_{key}"] = _bench_footprint(key)
     results = {
         "cold_pipeline": section,
         "end_to_end": {"all_no_cache": {
@@ -159,9 +199,9 @@ def test_cold_pipeline(bench_json):
 
     print()
     for name, stats in section.items():
-        print(f"{name:>16}  oracle {stats['oracle_s']:8.3f}s"
-              f"  grouped {stats['grouped_s']:8.3f}s"
+        print(f"{name:>18}  oracle {stats['oracle_s']:8.3f}s"
+              f"  production {stats['production_s']:8.3f}s"
               f"  {stats['speedup']:7.1f}x")
-    print(f"  all --no-cache  "
+    print(f"    all --no-cache  "
           f"{results['end_to_end']['all_no_cache']['wall_s']:.1f}s")
     print(f"wrote {path}")

@@ -197,7 +197,7 @@ def _bench_tensor_sizes(key: str) -> dict:
     treewalk_s, reference = _timed(
         lambda: _evaluate_sizes_treewalk(model.graph, binding)
     )
-    _tensors, program = size_program(model.graph)  # compile once
+    _exprs, program = size_program(model.graph)  # compile once
     program.codegen()  # lower once, like the compile above
     compiled_s, sizes = _timed(lambda: evaluate_sizes(model.graph, binding))
     codegen_s, sizes_cg = _timed(

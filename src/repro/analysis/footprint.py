@@ -7,6 +7,14 @@ and a memory-greedy order) and take the better, exactly the
 "topological traversal estimates" of Figure 10.  A lower bound —
 persistent weights + the largest single op working set — brackets the
 estimate for validation.
+
+Every point is index-native: it reads the graph's traversal index
+(:func:`repro.graph.traversal.graph_index`), whose size program,
+liveness tables and greedy tables are built once per graph.  A point
+replays the size program into one int list aligned with the index's
+tensors, and persistent bytes, both schedules' peaks and the
+working-set bound (a max over the graph's few dozen distinct working
+sets) all read that list — no per-point tensor dict, no per-op sets.
 """
 
 from __future__ import annotations
@@ -14,19 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from ..graph import (
-    Graph,
-    evaluate_sizes,
-    inplace_aliases,
-    liveness_peak,
-    liveness_peak_aliased,
-    memory_greedy_order,
-    topological_order,
-)
-from ..graph.traversal import (
-    _evaluate_sizes_treewalk,
-    _memory_greedy_order_reference,
-)
+from ..graph import inplace_aliases, liveness_peak_aliased
+from ..graph.traversal import _memory_greedy_order_reference, graph_index
 from ..models.base import BuiltModel
 from ..obs.tracer import TRACER as _TRACER
 
@@ -72,13 +69,13 @@ def estimate_footprint(model: BuiltModel,
     ``inplace=True`` applies the §4.5 TensorFlow optimization: eligible
     pointwise ops reuse their input's buffer.
 
-    ``engine`` selects the evaluation path: ``"compiled"`` (default)
-    sizes tensors through the batch-compiled tape and schedules with
-    the incremental greedy; ``"codegen"`` sizes them through the fused
-    source-codegen form of the same tape (bit-identical sizes, fastest);
-    ``"treewalk"`` is the seed recursive-evalf / rescan path, kept as
-    the benchmark baseline and behavioral oracle — all engines produce
-    identical estimates.
+    ``engine`` selects how sizes are evaluated: ``"compiled"``
+    (default) replays the batch-compiled size tape; ``"codegen"`` its
+    fused source-codegen form (bit-identical sizes, fastest);
+    ``"treewalk"`` calls each size expression's recursive ``evalf``
+    and schedules with the seed O(V·ready·degree) greedy rescan, kept
+    as the benchmark baseline — all engines produce identical
+    estimates.
     """
     if engine not in ("compiled", "treewalk", "codegen"):
         raise ValueError(f"unknown footprint engine {engine!r}")
@@ -92,45 +89,37 @@ def estimate_footprint(model: BuiltModel,
 
 def _estimate_footprint(graph, bindings, use_greedy, inplace,
                         engine) -> FootprintEstimate:
-    if engine == "treewalk":
-        sizes = _evaluate_sizes_treewalk(graph, bindings)
-        greedy_schedule = _memory_greedy_order_reference
-    else:
-        sizes = evaluate_sizes(graph, bindings, engine=engine)
-        greedy_schedule = memory_greedy_order
+    index = graph_index(graph)
+    slot_sizes = index.slot_sizes(bindings, engine)
+    sizes = index.sizes(slot_sizes)
+    live = index.liveness()
+    persistent = live.persistent_bytes(sizes)
 
-    persistent = sum(
-        sizes[t] for t in graph.tensors.values()
-        if t.is_persistent or t.producer is None
-    )
+    orders = [index.topo()[1]]
+    if use_greedy:
+        if engine == "treewalk":
+            reference = _memory_greedy_order_reference(
+                graph, dict(zip(index.tensors, sizes)))
+            orders.append([index.op_index[op] for op in reference])
+        else:
+            orders.append(index.greedy_order(sizes))
 
     aliases = inplace_aliases(graph) if inplace else None
-    order = topological_order(graph)
     if aliases:
-        program = liveness_peak_aliased(graph, order, sizes, aliases)
+        size_map = dict(zip(index.tensors, sizes))
+        peaks = [
+            liveness_peak_aliased(graph, [index.ops[i] for i in order],
+                                  size_map, aliases)
+            for order in orders
+        ]
     else:
-        program = liveness_peak(graph, order, sizes)
-    if use_greedy:
-        greedy_order = greedy_schedule(graph, sizes)
-        if aliases:
-            greedy = liveness_peak_aliased(graph, greedy_order, sizes,
-                                           aliases)
-        else:
-            greedy = liveness_peak(graph, greedy_order, sizes)
-    else:
-        greedy = program
+        peaks = [persistent + live.peak(order, sizes) for order in orders]
 
-    working_set = 0
-    for op in graph.ops:
-        local = sum(
-            sizes[t] for t in set(op.inputs) | set(op.outputs)
-            if not (t.is_persistent or t.producer is None)
-        )
-        working_set = max(working_set, local)
-
+    working_set = max([0] + [sum([slot_sizes[s] for s in ws])
+                             for ws in live.working_sets])
     return FootprintEstimate(
-        program_order_bytes=program,
-        greedy_bytes=greedy,
+        program_order_bytes=peaks[0],
+        greedy_bytes=peaks[-1],
         persistent_bytes=persistent,
         lower_bound_bytes=persistent + working_set,
     )

@@ -41,13 +41,12 @@ def _tape_diagnostics(graph: Graph) -> List[Diagnostic]:
     from ..graph.traversal import size_program
 
     out: List[Diagnostic] = []
-    tensors, program = size_program(graph)
+    exprs, program = size_program(graph)
     out.extend(verify_tape(program, label=f"{graph.name}.sizes"))
-    # randomized equivalence on a bounded sample of size expressions —
-    # the aggregates below exercise every op formula end to end anyway
-    sample = [t.size_bytes() for t in tensors[:64]]
+    # randomized equivalence of the production tape on every distinct
+    # size expression (a few dozen per graph)
     out.extend(equivalence_diagnostics(
-        sample, label=f"{graph.name}.sizes"))
+        exprs, prog=program, label=f"{graph.name}.sizes"))
 
     aggregates = [
         graph.total_flops(),

@@ -22,9 +22,11 @@ __all__ = ["Tensor", "TensorKind", "shape_elements"]
 
 Dim = Union[Expr, int]
 
-#: ``(dtype_bytes, shape) -> size Expr``, shared by every tensor: an
-#: unrolled graph has tens of thousands of tensors but a few dozen
-#: distinct shapes.  Weak values, like the ``Expr`` intern table.
+#: ``shape -> element count Expr`` and ``(dtype_bytes, shape) -> size
+#: Expr``, shared by every tensor: an unrolled graph has tens of
+#: thousands of tensors but a few dozen distinct shapes.  Weak values,
+#: like the ``Expr`` intern table.
+_NUM_ELEMENTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _SIZE_BYTES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
@@ -99,9 +101,13 @@ class Tensor:
         return len(self.shape)
 
     def num_elements(self) -> Expr:
-        """Symbolic element count (product of dims), cached."""
+        """Symbolic element count (product of dims), memoized on shape."""
         if self._num_elements is None:
-            self._num_elements = shape_elements(self.shape)
+            count = _NUM_ELEMENTS.get(self.shape)
+            if count is None:
+                count = _NUM_ELEMENTS.setdefault(
+                    self.shape, shape_elements(self.shape))
+            self._num_elements = count
         return self._num_elements
 
     def size_bytes(self) -> Expr:

@@ -32,6 +32,24 @@ class TestTensorGeometry:
         assert t.num_elements() is t.num_elements()
         assert t.size_bytes() is t.size_bytes()
 
+    def test_num_elements_memoized_on_shape(self, monkeypatch):
+        from repro.graph import tensor as tensor_module
+
+        calls = []
+
+        def counting(shape):
+            calls.append(shape)
+            return shape_elements(shape)
+
+        monkeypatch.setattr(tensor_module, "shape_elements", counting)
+        shape = (b, 7, h, 13)
+        first = Tensor("x", shape).num_elements()
+        second = Tensor("y", shape, dtype_bytes=2).num_elements()
+        other = Tensor("z", (b, 7, h, 11)).num_elements()
+        assert len(calls) == 2
+        assert first is second is shape_elements(shape)
+        assert other is shape_elements((b, 7, h, 11)) and other is not first
+
 
 class TestTensorRoles:
     def test_parameter_requires_grad(self):

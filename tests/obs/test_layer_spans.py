@@ -1,5 +1,6 @@
-"""Layer spans of a cold run: model build, cost table, aggregates,
-cache-aware Roofline, stage split and the allocator replay."""
+"""Layer spans of a cold run: model build, traversal index, cost table,
+aggregates, cache-aware Roofline, stage split and the allocator
+replay."""
 
 import json
 
@@ -7,6 +8,7 @@ from repro import obs
 
 _TABLE5_LAYERS = {
     "models.build",
+    "graph.skeleton",
     "graph.cost_groups",
     "graph.aggregate",
     "hardware.cache_aware",
@@ -52,6 +54,33 @@ def test_allocator_span():
         obs.disable()
         obs.clear()
     assert "runtime.allocator" in names
+
+
+def test_traversal_index_spans():
+    """The wiring core is built inside the model build (the forward
+    sort and validation); the liveness tables on the first footprint,
+    and never again for the same graph."""
+    from repro.analysis import estimate_footprint
+    from repro.models import build_word_lm
+
+    obs.clear()
+    obs.enable()
+    try:
+        model = build_word_lm(seq_len=2, vocab=50, layers=1)
+        for size in (8, 16, 24):
+            estimate_footprint(model, {model.size_symbol: size,
+                                       model.batch: 2})
+        spans = obs.spans()
+    finally:
+        obs.disable()
+        obs.clear()
+    cores = [s for s in spans if s.name == "graph.skeleton"]
+    assert len(cores) == 2
+    assert all(s.parent is not None and s.parent.name == "models.build"
+               for s in cores)
+    tables = [s.args.get("tables", "liveness") for s in spans
+              if s.name == "graph.skeleton.liveness"]
+    assert sorted(tables) == ["greedy", "liveness"]
 
 
 def test_spans_are_free_when_tracing_is_off():

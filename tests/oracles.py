@@ -3,16 +3,27 @@
 Production code reads each graph's cost table
 (:meth:`repro.graph.Graph.cost_groups`) and evaluates every distinct
 op cost once; the allocator keeps its LRU in an insertion-ordered dict
-with running byte totals.  The straightforward per-op versions live
+with running byte totals; footprints replay int lists aligned with the
+graph's traversal index.  The straightforward per-op versions live
 here so the tests can hold the fast paths to them — ``is``-identical
-symbolic aggregates, bit-equal floats, field-equal allocator reports.
+symbolic aggregates, bit-equal floats, field-equal allocator reports
+and footprint estimates.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.graph import Graph, Op, Tensor
+from repro.analysis.footprint import FootprintEstimate
+from repro.graph import (
+    Graph,
+    Op,
+    Tensor,
+    inplace_aliases,
+    liveness_peak_aliased,
+)
+from repro.graph.traversal import _memory_greedy_order_reference
 from repro.hardware.cache import cache_aware_op_bytes
 from repro.planner.model_parallel import StageCosts
 from repro.runtime.allocator import (
@@ -160,3 +171,98 @@ def simulate_allocator(graph: Graph, order: Sequence[Op],
                         lru.remove(t)
                 swapped.pop(t, None)
     return report
+
+
+def evaluate_sizes(graph: Graph,
+                   bindings: Optional[Mapping] = None) -> Dict[Tensor, int]:
+    """Per-tensor recursive ``evalf`` (memoized per size expression)."""
+    memo: Dict[object, int] = {}
+    sizes: Dict[Tensor, int] = {}
+    for t in graph.tensors.values():
+        expr = t.size_bytes()
+        if expr not in memo:
+            memo[expr] = int(round(expr.evalf(bindings)))
+        sizes[t] = memo[expr]
+    return sizes
+
+
+def topological_order(graph: Graph) -> List[Op]:
+    """Kahn's algorithm on dicts; ready ops run in program order."""
+    op_index = {op: i for i, op in enumerate(graph.ops)}
+    pending = {
+        op: len({t.producer for t in op.inputs if t.producer is not None})
+        for op in graph.ops
+    }
+    ready = [op_index[op] for op in graph.ops if pending[op] == 0]
+    order: List[Op] = []
+    while ready:
+        op = graph.ops[heapq.heappop(ready)]
+        order.append(op)
+        for out in op.outputs:
+            for consumer in out.consumers:
+                pending[consumer] -= 1
+                if pending[consumer] == 0:
+                    heapq.heappush(ready, op_index[consumer])
+    if len(order) != len(graph.ops):
+        raise ValueError(f"graph {graph.name} has a cycle")
+    return order
+
+
+def liveness_peak(graph: Graph, order: Sequence[Op],
+                  sizes: Mapping[Tensor, int], *,
+                  include_params: bool = True) -> int:
+    """Dict-based liveness replay over a schedule of ops."""
+    persistent = sum(sizes[t] for t in graph.tensors.values()
+                     if t.is_persistent or t.producer is None)
+    remaining = {t: len(t.consumers) for t in graph.tensors.values()}
+    live = 0
+    peak = 0
+    for op in order:
+        for t in op.outputs:
+            if not (t.is_persistent or t.producer is None):
+                live += sizes[t]
+        peak = max(peak, live)
+        seen = set()
+        for t in op.inputs:
+            if t.is_persistent or t.producer is None or t in seen:
+                continue
+            seen.add(t)
+            remaining[t] -= sum(1 for c in t.consumers if c is op)
+            if remaining[t] == 0:
+                live -= sizes[t]
+    return (persistent if include_params else 0) + peak
+
+
+def estimate_footprint(model, bindings: Optional[Mapping] = None, *,
+                       use_greedy: bool = True,
+                       inplace: bool = False) -> FootprintEstimate:
+    """Mapping-based footprint: a size dict per point, per-op sets."""
+    graph = model.graph
+    sizes = evaluate_sizes(graph, bindings)
+    persistent = sum(sizes[t] for t in graph.tensors.values()
+                     if t.is_persistent or t.producer is None)
+
+    aliases = inplace_aliases(graph) if inplace else None
+    orders = [topological_order(graph)]
+    if use_greedy:
+        orders.append(_memory_greedy_order_reference(graph, sizes))
+    if aliases:
+        peaks = [liveness_peak_aliased(graph, order, sizes, aliases)
+                 for order in orders]
+    else:
+        peaks = [liveness_peak(graph, order, sizes) for order in orders]
+
+    working_set = 0
+    for op in graph.ops:
+        local = sum(
+            sizes[t] for t in set(op.inputs) | set(op.outputs)
+            if not (t.is_persistent or t.producer is None)
+        )
+        working_set = max(working_set, local)
+
+    return FootprintEstimate(
+        program_order_bytes=peaks[0],
+        greedy_bytes=peaks[-1],
+        persistent_bytes=persistent,
+        lower_bound_bytes=persistent + working_set,
+    )
