@@ -1,64 +1,68 @@
-"""Benchmark: evaluation-engine lattice, treewalk up to generated source.
+"""Benchmark: the production evaluator against the tree-walk oracles.
 
-Times every evaluation path on the word-LM and ResNet (image) sweeps
-at three levels:
+Production evaluates every expression one way: the fused tape lowered
+to generated source (``CompiledExpr.codegen()``).  This benchmark times
+it against the recursive ``Expr.evalf`` oracles in ``tests/oracles.py``
+on the word-LM and ResNet (image) sweeps, at three levels:
 
-* the Figure 7-10 aggregate expressions, per sweep size — recursive
-  tree walk vs flat ``Poly`` arrays vs compiled tape replay vs the
-  vectorized path vs generated-source (``codegen``) evaluation;
-* per-tensor size evaluation for the training graph (treewalk vs
-  compiled replay vs codegen);
-* the full ``sweep_domain`` pipeline (``engine="treewalk"`` — the seed
-  recursive path — vs ``engine="compiled"`` vs ``engine="codegen"``);
-* guarded vs certified replay of the hot-path aggregate tape — the
-  abstract-interpretation proof (:func:`repro.check.absint.certify_tape`)
-  discharges the per-call numeric guard, and the ``certified`` section
-  records what the proof buys over the guarded replay.
+* ``aggregates`` — the Figure 7-10 aggregate expressions at every sweep
+  size: the aggregate tape's codegen form replayed per size vs one
+  ``evalf`` per aggregate per size;
+* ``tensor_sizes`` — per-tensor byte sizes of the training graph at the
+  largest sweep size: ``evaluate_sizes`` vs one ``evalf`` per tensor;
+* ``sweep_domain`` — every sweep row, footprints included:
+  ``compute_sweep_rows`` vs the seed sweep (tree-walk aggregates,
+  mapping-based footprints with the O(V·ready·degree) greedy rescan).
+
+Each of these records ``oracle_s``, ``production_s`` and ``speedup``
+(``oracle_s / production_s``).  A fourth section, ``certified``, times
+guarded vs certified (guard-free) replay of the hot-path aggregate
+tape — the abstract-interpretation proof
+(:func:`repro.check.absint.certify_tape`) discharges the per-call
+numeric guard, and the section records what the proof buys.
 
 Writes ``BENCH_compile_eval.json`` at the repo root and asserts the
-acceptance criteria: the compiled sweep on the largest stock domain
-(word_lm) is at least 5x faster than the tree walk with every row
-matching to 1e-9 relative, the codegen sweep at least 2x faster than
-the previously recorded compiled path, and the scalar replay/codegen
-paths bit-identical to the tree.  Committed floors for every recorded
-speedup live in ``benchmarks/BENCH_floors.json`` and are enforced by
-``benchmarks/check_bench_floors.py`` (the CI ``bench-regression``
-job).
-
-Alongside the timings, the JSON records ``cache_stats`` deltas from
-the :mod:`repro.obs` counters — tape-cache, size-program-cache, and
-sweep-cache hits/misses observed during the run — so a bench artifact
-shows cache *effectiveness*, not just speedup.
+acceptance criteria: scalar replay bit-identical to the tree, exact
+tensor sizes, sweep rows within 1e-9 relative, and the word_lm sweep
+at least 5x faster than the oracle.  Committed floors for every
+recorded speedup live in ``benchmarks/BENCH_floors.json`` and are
+enforced by ``benchmarks/check_bench_floors.py`` (the CI
+``bench-regression`` job).  The ``sweep_domain`` section also records
+``cache_stats`` deltas from the :mod:`repro.obs` counters (tape-cache
+and size-program-cache hits/misses of the production leg).
 
 Run:  pytest benchmarks/bench_compile_eval.py -s
 """
 
+import os
+import sys
 from dataclasses import fields
 from time import perf_counter
 
-from repro import obs
-from repro.analysis.counters import _SWEEP_AGGREGATES, StepCounts
-from repro.analysis.sweep import _sweep_domain_uncached, sweep_domain
-from repro.check import certify_tape, model_binding_domain
-from repro.graph.traversal import (
-    _evaluate_sizes_treewalk,
-    evaluate_sizes,
-    size_program,
-)
-from repro.models.registry import build_symbolic, get_domain
-from repro.symbolic import Poly
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+from repro import obs  # noqa: E402
+from repro.analysis.counters import _SWEEP_AGGREGATES, StepCounts  # noqa: E402
+from repro.analysis.sweep import compute_sweep_rows  # noqa: E402
+from repro.check import certify_tape, model_binding_domain  # noqa: E402
+from repro.graph.traversal import evaluate_sizes, size_program  # noqa: E402
+from repro.models.registry import build_symbolic, get_domain  # noqa: E402
+from tests import oracles  # noqa: E402
 
 DOMAINS = ("word_lm", "image")  # word LM + ResNet, per the paper's Fig 7
 
-#: obs counters snapshotted around each benchmark phase
+#: obs counters snapshotted around the production sweep leg
 _CACHE_COUNTERS = {
     "tape_cache": ("analysis.tape_cache.hit", "analysis.tape_cache.miss"),
     "size_program_cache": ("graph.size_program.cache.hit",
                            "graph.size_program.cache.miss"),
-    "sweep_cache": ("analysis.sweep.cache.hit",
-                    "analysis.sweep.cache.miss",
-                    "analysis.sweep.cache.eviction"),
 }
+
+#: repeat a leg until it has run this long (or 5 times); keep the best
+_MIN_TOTAL_S = 1.0
 
 
 def _counter_snapshot() -> dict:
@@ -69,13 +73,11 @@ def _counter_snapshot() -> dict:
 def _cache_delta(before: dict) -> dict:
     """Per-cache hit/miss deltas since ``before`` (grouped, short keys)."""
     after = _counter_snapshot()
-    out = {}
-    for cache, names in _CACHE_COUNTERS.items():
-        out[cache] = {
-            name.rsplit(".", 1)[-1]: after[name] - before[name]
-            for name in names
-        }
-    return out
+    return {
+        cache: {name.rsplit(".", 1)[-1]: after[name] - before[name]
+                for name in names}
+        for cache, names in _CACHE_COUNTERS.items()
+    }
 
 
 def _timed(fn):
@@ -84,108 +86,55 @@ def _timed(fn):
     return perf_counter() - t0, out
 
 
+def _best(fn):
+    """Best wall time of ``fn`` over repeats, and its last output."""
+    best, spent, runs, out = float("inf"), 0.0, 0, None
+    while runs < 5 and (runs == 0 or spent < _MIN_TOTAL_S):
+        elapsed, out = _timed(fn)
+        best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
+    return best, out
+
+
+def _row(oracle_s: float, production_s: float, **extra) -> dict:
+    return {"oracle_s": round(oracle_s, 6),
+            "production_s": round(production_s, 6),
+            "speedup": round(oracle_s / production_s, 2), **extra}
+
+
 def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def _warm_aggregates(counts: StepCounts) -> None:
-    """Force one-time aggregate Expr construction (shared by all
-    engines) so neither timed path is charged for it."""
+def _counts(key: str) -> StepCounts:
+    """StepCounts with every sweep aggregate already built, so neither
+    leg is charged for the one-time ``Expr`` construction."""
+    counts = StepCounts(build_symbolic(key))
     for name in _SWEEP_AGGREGATES:
         getattr(counts, name)
+    return counts
 
 
 def _bench_aggregates(key: str) -> dict:
     entry = get_domain(key)
-    counts = StepCounts(build_symbolic(key))
-    _warm_aggregates(counts)
-    sizes = list(entry.sweep_sizes)
-    rows = [counts.bind(s, entry.subbatch) for s in sizes]
-    exprs = [getattr(counts, n) for n in _SWEEP_AGGREGATES]
+    counts = _counts(key)
+    rows = [counts.bind(s, entry.subbatch) for s in entry.sweep_sizes]
+    # compile and lower once before the clock, as the production caches
+    # on StepCounts do
+    program = counts.compiled(*_SWEEP_AGGREGATES).codegen()
 
-    # the aggregates evaluate in microseconds once built, so repeat the
-    # whole series to get timings above clock resolution
-    reps = range(200)
+    # the aggregates evaluate in microseconds, so repeat the whole
+    # series to get timings above clock resolution
+    repeated = rows * 200
 
-    def treewalk():
-        for _ in reps:
-            out = [[e.evalf(r) for e in exprs] for r in rows]
-        return out
-
-    # compiled paths pay their own compile cost (counts caches the tape)
-    def compiled():
-        for _ in reps:
-            out = [counts.compiled(*_SWEEP_AGGREGATES)(r) for r in rows]
-        return out
-
-    def vectorized():
-        for _ in reps:
-            out = counts.compiled(*_SWEEP_AGGREGATES).eval_many(rows)
-        return out
-
-    # the flat posynomial arrays and the generated source are both
-    # one-time lowerings cached alongside the tape — build them before
-    # the clock starts, exactly as the tape compile above
-    polys = [Poly.from_expr(e) for e in exprs]
-    counts.compiled(*_SWEEP_AGGREGATES).codegen()
-
-    def poly_flat():
-        for _ in reps:
-            out = [[p.evalf(r) for p in polys] for r in rows]
-        return out
-
-    def codegen():
-        for _ in reps:
-            out = [counts.compiled(*_SWEEP_AGGREGATES).codegen()(r)
-                   for r in rows]
-        return out
-
-    treewalk_s, reference = _timed(treewalk)
-    poly_s, flat = _timed(poly_flat)
-    compiled_s, scalar = _timed(compiled)
-    vectorized_s, table = _timed(vectorized)
-    codegen_s, generated = _timed(codegen)
-
-    err_scalar = max(
-        _rel_err(scalar[i][j], reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
-    err_vector = max(
-        _rel_err(float(table[i, j]), reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
-    err_codegen = max(
-        _rel_err(generated[i][j], reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
-    # flat Poly evaluates the *expanded* canonical form — same value up
-    # to reassociation of float ops, not the same op order as the tree
-    err_poly = max(
-        _rel_err(flat[i][j], reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
-    assert err_scalar == 0.0, "compiled scalar path must be bit-identical"
-    assert err_codegen == 0.0, "codegen scalar path must be bit-identical"
-    assert err_vector <= 1e-9
-    assert err_poly <= 1e-9
-
-    return {
-        "n_sizes": len(sizes),
-        "n_aggregates": len(exprs),
-        "treewalk_s": round(treewalk_s, 6),
-        "poly_s": round(poly_s, 6),
-        "compiled_s": round(compiled_s, 6),
-        "vectorized_s": round(vectorized_s, 6),
-        "codegen_s": round(codegen_s, 6),
-        "speedup_poly": round(treewalk_s / poly_s, 2),
-        "speedup_compiled": round(treewalk_s / compiled_s, 2),
-        "speedup_vectorized": round(treewalk_s / vectorized_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
-        "max_rel_err_poly": err_poly,
-        "max_rel_err_compiled": err_scalar,
-        "max_rel_err_vectorized": err_vector,
-        "max_rel_err_codegen": err_codegen,
-    }
+    oracle_s, reference = _best(
+        lambda: oracles.sweep_aggregates(counts, repeated))
+    production_s, result = _best(lambda: [program(r) for r in repeated])
+    err = max(_rel_err(got, want)
+              for got_row, want_row in zip(result, reference)
+              for got, want in zip(got_row, want_row))
+    assert err == 0.0, "codegen scalar replay must be bit-identical"
+    return _row(oracle_s, production_s, n_sizes=len(rows),
+                n_aggregates=len(_SWEEP_AGGREGATES), max_rel_err=err)
 
 
 def _bench_tensor_sizes(key: str) -> dict:
@@ -193,73 +142,41 @@ def _bench_tensor_sizes(key: str) -> dict:
     model = build_symbolic(key)
     binding = {model.size_symbol: list(entry.sweep_sizes)[-1],
                model.batch: entry.subbatch}
+    size_program(model.graph)[1].codegen()  # compile and lower once
 
-    treewalk_s, reference = _timed(
-        lambda: _evaluate_sizes_treewalk(model.graph, binding)
-    )
-    _exprs, program = size_program(model.graph)  # compile once
-    program.codegen()  # lower once, like the compile above
-    compiled_s, sizes = _timed(lambda: evaluate_sizes(model.graph, binding))
-    codegen_s, sizes_cg = _timed(
-        lambda: evaluate_sizes(model.graph, binding, engine="codegen")
-    )
-    assert sizes == reference, "compiled tensor sizing must be exact"
-    assert sizes_cg == reference, "codegen tensor sizing must be exact"
-
-    return {
-        "n_tensors": len(reference),
-        "treewalk_s": round(treewalk_s, 6),
-        "compiled_s": round(compiled_s, 6),
-        "codegen_s": round(codegen_s, 6),
-        "speedup": round(treewalk_s / compiled_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
-    }
+    oracle_s, reference = _best(
+        lambda: oracles.evaluate_sizes(model.graph, binding))
+    production_s, sizes = _best(
+        lambda: evaluate_sizes(model.graph, binding))
+    assert sizes == reference, "tensor sizing must be exact"
+    return _row(oracle_s, production_s, n_tensors=len(reference))
 
 
 def _bench_sweep(key: str) -> dict:
-    counts = StepCounts(build_symbolic(key))
-    _warm_aggregates(counts)
+    entry = get_domain(key)
+    counts = _counts(key)
+    sizes, subbatch = list(entry.sweep_sizes), entry.subbatch
 
-    treewalk_s, slow = _timed(
-        lambda: _sweep_domain_uncached(key, engine="treewalk")
-    )
+    oracle_s, reference = _best(
+        lambda: oracles.sweep_rows(counts, sizes, subbatch))
+    # the first production sweep compiles and lowers the tapes and
+    # builds the graph's traversal tables, all cached per model — pay
+    # that before the clock so the leg times steady-state evaluation
+    compute_sweep_rows(key, sizes, subbatch)
     before = _counter_snapshot()
-    compiled_s, fast = _timed(
-        lambda: _sweep_domain_uncached(key, engine="compiled")
-    )
+    production_s, rows = _best(
+        lambda: compute_sweep_rows(key, sizes, subbatch))
     cache_stats = _cache_delta(before)
-    # source lowering is a one-time cost cached on each program (like
-    # the tape compile the sizes/aggregate caches amortize) — pay it
-    # before the clock so the leg times steady-state evaluation
-    _sweep_domain_uncached(key, engine="codegen")
-    codegen_s, fastest = _timed(
-        lambda: _sweep_domain_uncached(key, engine="codegen")
-    )
 
     err = max(
         _rel_err(getattr(ra, f.name), getattr(rb, f.name))
-        for ra, rb in zip(fast.rows, slow.rows)
+        for ra, rb in zip(rows, reference)
         for f in fields(ra)
     )
-    err_cg = max(
-        _rel_err(getattr(ra, f.name), getattr(rb, f.name))
-        for ra, rb in zip(fastest.rows, slow.rows)
-        for f in fields(ra)
-    )
-    assert err <= 1e-9, f"{key}: engines diverged (rel err {err})"
-    assert err_cg <= 1e-9, f"{key}: codegen diverged (rel err {err_cg})"
-
-    return {
-        "n_sizes": len(fast.rows),
-        "treewalk_s": round(treewalk_s, 6),
-        "compiled_s": round(compiled_s, 6),
-        "codegen_s": round(codegen_s, 6),
-        "speedup": round(treewalk_s / compiled_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
-        "max_rel_err": err,
-        "max_rel_err_codegen": err_cg,
-        "cache_stats": cache_stats,
-    }
+    assert len(rows) == len(reference)
+    assert err <= 1e-9, f"{key}: sweep diverged from the oracle ({err})"
+    return _row(oracle_s, production_s, n_sizes=len(rows),
+                max_rel_err=err, cache_stats=cache_stats)
 
 
 def _bench_certified(key: str) -> dict:
@@ -275,8 +192,7 @@ def _bench_certified(key: str) -> dict:
     """
     entry = get_domain(key)
     model = build_symbolic(key)
-    counts = StepCounts(model)
-    _warm_aggregates(counts)
+    counts = _counts(key)
     rows = [counts.bind(s, entry.subbatch) for s in entry.sweep_sizes]
     prog = counts.compiled(*_SWEEP_AGGREGATES).codegen()
     # bind once outside the clock: this leg isolates replay + guard
@@ -313,50 +229,28 @@ def _bench_certified(key: str) -> dict:
     }
 
 
-def _bench_sweep_cache(key: str) -> dict:
-    """Memoized-sweep effectiveness: cold miss, then a warm hit."""
-    before = _counter_snapshot()
-    cold_s, _ = _timed(lambda: sweep_domain(key))
-    warm_s, _ = _timed(lambda: sweep_domain(key))
-    stats = _cache_delta(before)
-    stats["cold_s"] = round(cold_s, 6)
-    stats["warm_s"] = round(warm_s, 6)
-    stats["warm_speedup"] = round(cold_s / warm_s, 2) if warm_s else 0.0
-    return stats
-
-
 def test_compile_eval(bench_json):
     results = {
         "aggregates": {k: _bench_aggregates(k) for k in DOMAINS},
         "tensor_sizes": {k: _bench_tensor_sizes(k) for k in DOMAINS},
         "sweep_domain": {k: _bench_sweep(k) for k in DOMAINS},
         "certified": {k: _bench_certified(k) for k in DOMAINS},
-        "sweep_cache": {k: _bench_sweep_cache(k) for k in DOMAINS},
     }
     path = bench_json("BENCH_compile_eval", results)
 
     print()
     for section, per_domain in results.items():
         for key, stats in per_domain.items():
-            if "treewalk_s" not in stats:
+            if "oracle_s" not in stats:
                 continue
-            speed = stats.get("speedup", stats.get("speedup_vectorized"))
-            speed_cg = stats.get("speedup_codegen", 0.0)
-            print(f"{section:>13} {key:<8} treewalk {stats['treewalk_s']:8.3f}s"
-                  f"  compiled {stats['compiled_s']:8.3f}s  {speed:6.1f}x"
-                  f"  codegen {stats.get('codegen_s', 0.0):8.3f}s"
-                  f"  {speed_cg:6.1f}x")
+            print(f"{section:>13} {key:<8} oracle {stats['oracle_s']:8.3f}s"
+                  f"  production {stats['production_s']:8.3f}s"
+                  f"  {stats['speedup']:6.1f}x")
     for key, stats in results["certified"].items():
         print(f"    certified {key:<8} guarded {stats['guarded_s']:9.3f}s"
               f"  certified {stats['certified_s']:8.3f}s"
               f"  {stats['speedup_certified']:6.1f}x  (guard-free)")
-    for key, stats in results["sweep_cache"].items():
-        print(f"  sweep_cache {key:<8} cold {stats['cold_s']:8.3f}s"
-              f"  warm {stats['warm_s']:8.3f}s"
-              f"  hits {stats['sweep_cache']['hit']}")
     print(f"wrote {path}")
 
-    # acceptance: >=5x on the largest stock domain's full sweep, and
-    # the codegen engine at least as fast as compiled replay there
+    # acceptance: >=5x over the seed sweep on the largest stock domain
     assert results["sweep_domain"]["word_lm"]["speedup"] >= 5.0
-    assert results["sweep_domain"]["word_lm"]["speedup_codegen"] >= 5.0

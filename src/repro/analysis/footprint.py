@@ -11,10 +11,12 @@ estimate for validation.
 Every point is index-native: it reads the graph's traversal index
 (:func:`repro.graph.traversal.graph_index`), whose size program,
 liveness tables and greedy tables are built once per graph.  A point
-replays the size program into one int list aligned with the index's
-tensors, and persistent bytes, both schedules' peaks and the
-working-set bound (a max over the graph's few dozen distinct working
-sets) all read that list — no per-point tensor dict, no per-op sets.
+replays the size program's generated-source form into one int list
+aligned with the index's tensors, and persistent bytes, both
+schedules' peaks and the working-set bound (a max over the graph's few
+dozen distinct working sets) all read that list — no per-point tensor
+dict, no per-op sets.  The mapping-based reference (per-tensor
+``evalf``, the seed greedy rescan) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..graph import inplace_aliases, liveness_peak_aliased
-from ..graph.traversal import _memory_greedy_order_reference, graph_index
+from ..graph.traversal import graph_index
 from ..models.base import BuiltModel
 from ..obs.tracer import TRACER as _TRACER
 
@@ -59,8 +61,7 @@ class FootprintEstimate:
 def estimate_footprint(model: BuiltModel,
                        bindings: Optional[Mapping] = None, *,
                        use_greedy: bool = True,
-                       inplace: bool = False,
-                       engine: str = "compiled") -> FootprintEstimate:
+                       inplace: bool = False) -> FootprintEstimate:
     """Evaluate footprint bounds for one concrete configuration.
 
     ``bindings`` must bind the model's size symbol and subbatch.  Set
@@ -68,41 +69,24 @@ def estimate_footprint(model: BuiltModel,
     graphs (the program-order bound is then reported for both).
     ``inplace=True`` applies the §4.5 TensorFlow optimization: eligible
     pointwise ops reuse their input's buffer.
-
-    ``engine`` selects how sizes are evaluated: ``"compiled"``
-    (default) replays the batch-compiled size tape; ``"codegen"`` its
-    fused source-codegen form (bit-identical sizes, fastest);
-    ``"treewalk"`` calls each size expression's recursive ``evalf``
-    and schedules with the seed O(V·ready·degree) greedy rescan, kept
-    as the benchmark baseline — all engines produce identical
-    estimates.
     """
-    if engine not in ("compiled", "treewalk", "codegen"):
-        raise ValueError(f"unknown footprint engine {engine!r}")
     graph = model.graph
     with _TRACER.span("analysis.footprint", "footprint",
-                      graph=graph.name, engine=engine,
-                      use_greedy=use_greedy):
-        return _estimate_footprint(graph, bindings, use_greedy,
-                                   inplace, engine)
+                      graph=graph.name, use_greedy=use_greedy):
+        return _estimate_footprint(graph, bindings, use_greedy, inplace)
 
 
-def _estimate_footprint(graph, bindings, use_greedy, inplace,
-                        engine) -> FootprintEstimate:
+def _estimate_footprint(graph, bindings, use_greedy,
+                        inplace) -> FootprintEstimate:
     index = graph_index(graph)
-    slot_sizes = index.slot_sizes(bindings, engine)
+    slot_sizes = index.slot_sizes(bindings)
     sizes = index.sizes(slot_sizes)
     live = index.liveness()
     persistent = live.persistent_bytes(sizes)
 
     orders = [index.topo()[1]]
     if use_greedy:
-        if engine == "treewalk":
-            reference = _memory_greedy_order_reference(
-                graph, dict(zip(index.tensors, sizes)))
-            orders.append([index.op_index[op] for op in reference])
-        else:
-            orders.append(index.greedy_order(sizes))
+        orders.append(index.greedy_order(sizes))
 
     aliases = inplace_aliases(graph) if inplace else None
     if aliases:

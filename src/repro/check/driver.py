@@ -60,15 +60,16 @@ def _tape_diagnostics(graph: Graph) -> List[Diagnostic]:
     out.extend(verify_tape(program, label=f"{graph.name}.aggregates"))
     out.extend(equivalence_diagnostics(
         aggregates, prog=program, label=f"{graph.name}.aggregates"))
-    # the derived engines must agree with the tree too: statically
-    # verify the fused tape (T001–T003 + the T005 fusion contract) and
-    # replay both fused and codegen forms against evalf (T004)
-    out.extend(verify_tape(program.fused(),
-                           label=f"{graph.name}.aggregates.fused"))
-    for engine in ("fused", "codegen"):
+    # the fused tape and its codegen form (the production evaluator)
+    # must agree with the tree too: statically verify the fused tape
+    # (T001–T003 + the T005 fusion contract) and replay both derived
+    # forms against evalf (T004)
+    fused = program.fused()
+    out.extend(verify_tape(fused, label=f"{graph.name}.aggregates.fused"))
+    for name, form in (("fused", fused), ("codegen", program.codegen())):
         out.extend(equivalence_diagnostics(
-            aggregates, prog=program, engine=engine,
-            label=f"{graph.name}.aggregates.{engine}"))
+            aggregates, prog=form,
+            label=f"{graph.name}.aggregates.{name}"))
     for d in out:
         d.graph = graph.name
     return out

@@ -23,9 +23,10 @@ read garbage:
 
 :func:`equivalence_diagnostics` adds the dynamic complement: replay
 the tape against the recursive ``Expr.evalf`` tree walk at seeded
-pseudo-random positive bindings (**T004**) — under any of the three
-evaluation engines (``compiled`` replay, ``fused`` replay, or
-``codegen``).
+pseudo-random positive bindings (**T004**).  The tape may be any of the
+three forms of a program — plain replay, its ``fused()`` rewrite, or
+its ``codegen()`` source — and the lint driver checks each form by
+passing it in.
 """
 
 from __future__ import annotations
@@ -236,28 +237,18 @@ def equivalence_diagnostics(exprs: Sequence[Expr], *,
                             label: str = "tape",
                             trials: int = 3,
                             seed: int = 0xC0FFEE,
-                            rel_tol: float = 1e-9,
-                            engine: str = "compiled"
+                            rel_tol: float = 1e-9
                             ) -> List[Diagnostic]:
     """T004: randomized tape≡tree check at positive bindings.
 
     Compiles ``exprs`` into one batch tape (or verifies a caller-
     provided ``prog``) and compares each output against the recursive
-    ``evalf`` at ``trials`` seeded pseudo-random bindings.
-
-    ``engine`` selects the evaluation path under test: ``"compiled"``
-    replay (seed behavior), ``"fused"`` replay of the fuse_tape
-    rewrite, or ``"codegen"`` for the generated-source form — all three
-    must agree with the tree bit-for-bit on these scalar paths.
+    ``evalf`` at ``trials`` seeded pseudo-random bindings.  ``prog``
+    may be a plain tape, its ``fused()`` rewrite or its ``codegen()``
+    form; all three must agree with the tree on these scalar paths.
     """
-    if engine not in ("compiled", "fused", "codegen"):
-        raise ValueError(f"unknown equivalence engine {engine!r}")
     if prog is None:
         prog = compile_batch(list(exprs))
-    if engine == "fused":
-        prog = prog.fused()
-    elif engine == "codegen":
-        prog = prog.codegen()
     rng = random.Random(seed)
     out: List[Diagnostic] = []
     for trial in range(trials):

@@ -6,7 +6,7 @@ stored under a key that hashes *everything that could change the
 value*:
 
 * the task's declared parameters (exhibit name, domain, size,
-  subbatch, engine options, canonical request body), and
+  subbatch, footprint flag, canonical request body), and
 * the per-process **source digest** (:func:`source_digest`): SHA-256
   over every ``repro/**/*.py`` file of the running package plus the
   Python and NumPy versions.

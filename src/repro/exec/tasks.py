@@ -102,8 +102,7 @@ def report_exhibit_key(name: str) -> str:
 # -- sweep shards ------------------------------------------------------------
 
 def sweep_shard(key: str, sizes: Tuple[float, ...], subbatch: int,
-                include_footprint: bool,
-                engine: str) -> List[tuple]:
+                include_footprint: bool) -> List[tuple]:
     """Worker payload: the sweep rows for one chunk of sizes.
 
     Rows come back as plain tuples (``dataclasses.astuple`` order) so
@@ -117,15 +116,14 @@ def sweep_shard(key: str, sizes: Tuple[float, ...], subbatch: int,
     with error_context(model=key, stage="sweep_shard",
                        sizes=tuple(sizes)):
         rows = compute_sweep_rows(key, list(sizes), subbatch,
-                                  include_footprint=include_footprint,
-                                  engine=engine)
+                                  include_footprint=include_footprint)
     return [astuple(row) for row in rows]
 
 
 def sweep_shard_key(key: str, sizes: Sequence[float], subbatch: int,
-                    include_footprint: bool, engine: str) -> str:
+                    include_footprint: bool) -> str:
     return content_key("sweep_shard", key, [float(s) for s in sizes],
-                       subbatch, include_footprint, engine)
+                       subbatch, include_footprint)
 
 
 # -- cross-process observability shim ----------------------------------------

@@ -254,21 +254,10 @@ class GraphIndex:
             _SIZE_HIT.inc()
         return self._sizes
 
-    def slot_sizes(self, bindings: Optional[Mapping] = None,
-                   engine: str = "compiled") -> List[int]:
-        """Bytes of each distinct size expression under ``bindings``.
-
-        ``"compiled"`` replays the tape, ``"codegen"`` its fused
-        source-codegen form (bit-identical), ``"treewalk"`` calls each
-        expression's recursive ``evalf``.
-        """
-        exprs, _, program = self.size_program()
-        if engine == "treewalk":
-            return [int(round(e.evalf(bindings))) for e in exprs]
-        if engine == "codegen":
-            program = program.codegen()
-        elif engine != "compiled":
-            raise ValueError(f"unknown size-program engine {engine!r}")
+    def slot_sizes(self, bindings: Optional[Mapping] = None) -> List[int]:
+        """Bytes of each distinct size expression under ``bindings``
+        (one replay of the size tape's generated-source form)."""
+        program = self.size_program()[2].codegen()
         return [int(round(v)) for v in program(bindings)]
 
     def sizes(self, slot_sizes: Sequence[int]) -> List[int]:
@@ -411,21 +400,17 @@ def size_program(graph: Graph) -> Tuple[Tuple[Expr, ...], CompiledExpr]:
 
 
 def evaluate_sizes(graph: Graph,
-                   bindings: Optional[Mapping] = None, *,
-                   engine: str = "compiled") -> Dict[Tensor, int]:
+                   bindings: Optional[Mapping] = None) -> Dict[Tensor, int]:
     """Concrete byte size per tensor under the given symbol bindings.
 
-    Evaluates the cached batch-compiled size program — one tape replay
-    for the whole graph, identical floats to the per-tensor tree walk.
-    ``engine="codegen"`` replays the fused source-codegen form of the
-    same program (bit-identical scalar results, no dispatch loop); the
-    generated function is cached on the program, so the lowering cost
-    is paid once per graph.
+    Replays the generated-source form of the graph's cached size
+    program — one straight-line call for the whole graph, identical
+    floats to the per-tensor tree walk.  The generated function is
+    cached on the program, so the lowering cost is paid once per
+    graph.
     """
-    if engine not in ("compiled", "codegen"):
-        raise ValueError(f"unknown size-program engine {engine!r}")
     index = graph_index(graph)
-    sizes = index.sizes(index.slot_sizes(bindings, engine))
+    sizes = index.sizes(index.slot_sizes(bindings))
     return dict(zip(index.tensors, sizes))
 
 
@@ -445,26 +430,6 @@ def evaluate_sizes_many(graph: Graph, rows) -> "list[Dict[Tensor, int]]":
     ]
 
 
-def _evaluate_sizes_treewalk(graph: Graph,
-                             bindings: Optional[Mapping] = None
-                             ) -> Dict[Tensor, int]:
-    """Reference per-tensor recursive evaluation (seed behavior).
-
-    Kept for equivalence tests and as the baseline the compiled path is
-    benchmarked against (``benchmarks/bench_compile_eval.py``).
-    """
-    sizes: Dict[Tensor, int] = {}
-    for t in graph.tensors.values():
-        sizes[t] = int(round(t.size_bytes().evalf(bindings)))
-    return sizes
-
-
-def _consumer_counts(graph: Graph) -> Dict[Tensor, int]:
-    return {
-        t: len(t.consumers) for t in graph.tensors.values()
-    }
-
-
 def memory_greedy_order(graph: Graph,
                         sizes: Mapping[Tensor, int]) -> List[Op]:
     """Schedule that greedily minimizes live memory growth per step.
@@ -480,65 +445,11 @@ def memory_greedy_order(graph: Graph,
     min-heap over ``(delta, program index)`` then replaces the
     O(ready · degree) rescan per step, taking the schedule from
     O(V·ready·degree) to O((V + E) log V) while producing the *same*
-    order as the reference scan (verified by tests).
+    order as the seed rescan (``tests/oracles.py``).
     """
     index = graph_index(graph)
     ops = index.ops
     return [ops[i] for i in index.greedy_order(index.size_list(sizes))]
-
-
-def _memory_greedy_order_reference(graph: Graph,
-                                   sizes: Mapping[Tensor, int]) -> List[Op]:
-    """Seed O(V·ready·degree) greedy scan — the behavioral oracle.
-
-    Kept for equivalence tests against :func:`memory_greedy_order` and
-    as the benchmark baseline; both must yield identical schedules.
-    """
-    op_index = {op: i for i, op in enumerate(graph.ops)}
-    pending: Dict[Op, int] = {}
-    remaining = _consumer_counts(graph)
-    ready: List[Op] = []
-
-    for op in graph.ops:
-        producers = {t.producer for t in op.inputs if t.producer is not None}
-        pending[op] = len(producers)
-        if pending[op] == 0:
-            ready.append(op)
-
-    def delta(op: Op) -> int:
-        grow = sum(
-            sizes[t] for t in op.outputs if not t.is_persistent
-        )
-        shrink = 0
-        seen = set()
-        for t in op.inputs:
-            if t.is_persistent or t in seen:
-                continue
-            seen.add(t)
-            uses = sum(1 for c in t.consumers if c is op)
-            if remaining[t] - uses == 0:
-                shrink += sizes[t]
-        return grow - shrink
-
-    order: List[Op] = []
-    while ready:
-        best = min(ready, key=lambda op: (delta(op), op_index[op]))
-        ready.remove(best)
-        order.append(best)
-        seen = set()
-        for t in best.inputs:
-            if t in seen:
-                continue
-            seen.add(t)
-            remaining[t] -= sum(1 for c in t.consumers if c is best)
-        for out in best.outputs:
-            for consumer in out.consumers:
-                pending[consumer] -= 1
-                if pending[consumer] == 0:
-                    ready.append(consumer)
-    if len(order) != len(graph.ops):
-        raise ValueError(f"graph {graph.name} has a cycle")
-    return order
 
 
 def liveness_peak(

@@ -19,8 +19,8 @@ on the flat form:
 * :func:`asymptotic_ratio` — ``lim expr_a/expr_b`` as a symbol grows,
 * :func:`leading_term` — dominant term for a growing symbol.
 
-The previous recursive implementations survive as ``_*_treewalk``
-oracles for the property-based equivalence suite.
+The previous recursive implementations are test oracles
+(``tests/oracles.py``) for the property-based equivalence suite.
 
 Term order and bit-identity
 ---------------------------
@@ -479,7 +479,8 @@ def _atom_degree(atom: Expr, sym: Symbol) -> Optional[Fraction]:
     """Degree contribution of one unit of ``atom`` in ``sym``.
 
     None marks atoms that are not polynomial-like in any symbol they
-    contain (mirrors ``_term_degree`` on the equivalent tree term).
+    contain (mirrors the recursive term-degree oracle in
+    ``tests/oracles.py`` on the equivalent tree term).
     """
     if atom is sym:
         return _ONE
@@ -489,7 +490,7 @@ def _atom_degree(atom: Expr, sym: Symbol) -> Optional[Fraction]:
         return None if sym in atom.free_symbols() else _ZERO
     # Pow atoms (symbolic exponent) and Add atoms (unexpandable powers
     # of sums) are non-posynomial outright — in *any* symbol — matching
-    # the treewalk's _term_degree
+    # the recursive oracle
     return None
 
 
@@ -706,107 +707,3 @@ def asymptotic_ratio(numerator: Expr, denominator: Expr, sym: Symbol) -> Expr:
         Pow.of(den.coefficient(sym, dd).to_expr(), Const(-1)),
     )
 
-
-# ---------------------------------------------------------------------
-# Treewalk oracles — the pre-flat recursive implementations, kept as
-# independent references for the property-based equivalence suite.
-
-def _expand_treewalk(expr: Expr) -> Expr:
-    expr = as_expr(expr)
-    if isinstance(expr, (Const, Symbol)):
-        return expr
-    if isinstance(expr, Add):
-        return Add.of(*(_expand_treewalk(arg) for arg in expr.args()))
-    if isinstance(expr, Pow):
-        base = _expand_treewalk(expr.base)
-        exponent = _expand_treewalk(expr.exponent)
-        if (
-            isinstance(base, Add)
-            and isinstance(exponent, Const)
-            and exponent.value.denominator == 1
-            and exponent.value >= 2
-        ):
-            n = int(exponent.value)
-            out = base
-            for _ in range(n - 1):
-                out = _mul_expand(out, base)
-            return out
-        return Pow.of(base, exponent)
-    if isinstance(expr, Mul):
-        parts = [_expand_treewalk(arg) for arg in expr.args()]
-        result = parts[0]
-        for part in parts[1:]:
-            result = _mul_expand(result, part)
-        return result
-    if isinstance(expr, Max):
-        return Max.of(*(_expand_treewalk(a) for a in expr.fargs))
-    if isinstance(expr, Min):
-        return Min.of(*(_expand_treewalk(a) for a in expr.fargs))
-    if isinstance(expr, (Ceil, Floor, Log)):
-        return type(expr).of(_expand_treewalk(expr.fargs[0]))
-    raise TypeError(f"cannot expand {type(expr).__name__}")
-
-
-def _mul_expand(a: Expr, b: Expr) -> Expr:
-    a_terms = a.args() if isinstance(a, Add) else (a,)
-    b_terms = b.args() if isinstance(b, Add) else (b,)
-    products = [Mul.of(x, y) for x in a_terms for y in b_terms]
-    return Add.of(*products)
-
-
-def _term_degree(term: Expr, sym: Symbol) -> Optional[Fraction]:
-    """Degree of a product-form term in ``sym``; None if non-posynomial."""
-    if isinstance(term, Const):
-        return Fraction(0)
-    if isinstance(term, Symbol):
-        return Fraction(1) if term == sym else Fraction(0)
-    if isinstance(term, Pow):
-        if not isinstance(term.exponent, Const):
-            return None
-        inner = _term_degree(term.base, sym)
-        if inner is None:
-            return None
-        return inner * term.exponent.value
-    if isinstance(term, Mul):
-        total = Fraction(0)
-        for base, exponent in term.factors:
-            if not isinstance(exponent, Const):
-                return None
-            inner = _term_degree(base, sym)
-            if inner is None:
-                return None
-            total += inner * exponent.value
-        return total
-    if isinstance(term, (Max, Min, Ceil, Floor, Log)):
-        if sym in term.free_symbols():
-            return None
-        return Fraction(0)
-    return None
-
-
-def _degree_treewalk(expr: Expr, sym: Symbol) -> Fraction:
-    expr = _expand_treewalk(as_expr(expr))
-    terms = expr.args() if isinstance(expr, Add) else (expr,)
-    best = None
-    for term in terms:
-        d = _term_degree(term, sym)
-        if d is None:
-            raise ValueError(f"{expr} is not polynomial-like in {sym}")
-        best = d if best is None else max(best, d)
-    return best if best is not None else Fraction(0)
-
-
-def _coefficient_treewalk(expr: Expr, sym: Symbol, power) -> Expr:
-    power = Fraction(power)
-    expr = _expand_treewalk(as_expr(expr))
-    terms = expr.args() if isinstance(expr, Add) else (expr,)
-    matched = []
-    for term in terms:
-        d = _term_degree(term, sym)
-        if d is None:
-            raise ValueError(f"{expr} is not polynomial-like in {sym}")
-        if d == power:
-            matched.append(Mul.of(term, Pow.of(sym, Const(-power))))
-    if not matched:
-        return Const(0)
-    return Add.of(*matched)

@@ -76,25 +76,18 @@ def invert_power_law(scale: float, exponent: float, target: float) -> float:
 
 
 def evalf_fn(expr: Expr, sym: Symbol,
-             fixed: Mapping = None, *,
-             engine: str = "compiled") -> Callable[[float], float]:
+             fixed: Mapping = None) -> Callable[[float], float]:
     """Compile an Expr into a float function of one symbol.
 
     ``fixed`` supplies bindings for every other free symbol.  The
     expression is lowered once to a slot-based tape
-    (:mod:`repro.symbolic.compile`); ``fixed`` is resolved to the input
-    vector here, so each call only writes one slot and replays the tape
-    — no per-call dict rebuilding inside root-finding loops.
-
-    ``engine="codegen"`` replays the fused source-codegen form of the
-    tape (bit-identical floats, no dispatch loop) — worthwhile when the
-    returned function is probed many times, e.g. inside bisections.
+    (:mod:`repro.symbolic.compile`) and replayed in its fused
+    source-codegen form (bit-identical floats, no dispatch loop);
+    ``fixed`` is resolved to the input vector here, so each call only
+    writes one slot and runs the generated function — no per-call dict
+    rebuilding inside root-finding loops.
     """
-    if engine not in ("compiled", "codegen"):
-        raise ValueError(f"unknown evalf_fn engine {engine!r}")
-    program = compile_expr(expr)
-    if engine == "codegen":
-        program = program.codegen()
+    program = compile_expr(expr).codegen()
     base = program.bind_vector(fixed or {}, partial=True)
     try:
         slot = program.slot_of(sym)

@@ -19,7 +19,6 @@ from repro.graph import (
     memory_greedy_order,
     validate_graph,
 )
-from repro.graph.traversal import _memory_greedy_order_reference
 from repro.models import build_word_lm
 from repro.models.registry import DOMAINS, build_symbolic, get_domain
 from repro.obs.metrics import counter
@@ -128,7 +127,7 @@ class TestHandBuilt:
         sizes = oracles.evaluate_sizes(g, {b: 3, h: 5})
         names = [op.name for op in memory_greedy_order(g, sizes)]
         assert names == [op.name for op in
-                         _memory_greedy_order_reference(g, sizes)]
+                         oracles.memory_greedy_order(g, sizes)]
         assert names == ["proj", "square", "update", "reduce", "side"]
 
 

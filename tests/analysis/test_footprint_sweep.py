@@ -105,14 +105,18 @@ class TestSweep:
         assert len(sweep_mod._SWEEP_CACHE) <= sweep_mod._SWEEP_CACHE_MAX
 
     def test_engines_agree(self):
-        """Compiled/vectorized sweep matches the seed tree-walk path."""
+        """The production sweep matches the seed tree-walk oracle."""
+        from repro.analysis.counters import StepCounts
         from repro.analysis.sweep import _sweep_domain_uncached
+        from repro.models.registry import build_symbolic
 
-        fast = _sweep_domain_uncached("image", sizes=[1, 2],
-                                      engine="compiled")
-        slow = _sweep_domain_uncached("image", sizes=[1, 2],
-                                      engine="treewalk")
-        for ra, rb in zip(fast.rows, slow.rows):
+        from .. import oracles
+
+        fast = _sweep_domain_uncached("image", sizes=[1, 2])
+        slow = oracles.sweep_rows(StepCounts(build_symbolic("image")),
+                                  [1, 2], fast.subbatch)
+        assert len(fast.rows) == len(slow) == 2
+        for ra, rb in zip(fast.rows, slow):
             for name in ("params", "flops_per_sample", "step_bytes",
                          "intensity", "footprint_bytes", "bytes_fixed",
                          "bytes_per_sample"):

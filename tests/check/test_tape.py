@@ -1,7 +1,5 @@
 """Fixture tests for the compiled-tape verifier (T-family rules)."""
 
-import pytest
-
 from repro.check import equivalence_diagnostics, verify_tape
 from repro.symbolic import Const, symbols
 from repro.symbolic.compile import CompiledExpr, compile_batch, compile_expr
@@ -140,16 +138,12 @@ class TestT005FusedPayloadDiscipline:
 class TestEngineEquivalence:
     def test_fused_and_codegen_engines_clean(self):
         exprs = [x * y + Const(3), (x + y) ** 2, x ** x]
-        for engine in ("compiled", "fused", "codegen"):
-            assert equivalence_diagnostics(exprs, engine=engine) == []
+        prog = compile_batch(exprs)
+        for form in (prog, prog.fused(), prog.codegen()):
+            assert equivalence_diagnostics(exprs, prog=form) == []
 
     def test_divergence_detected_under_every_engine(self):
         prog = compile_expr(x + Const(1))
-        for engine in ("fused", "codegen"):
-            found = equivalence_diagnostics(
-                [x + Const(2)], prog=prog, engine=engine)
+        for form in (prog.fused(), prog.codegen()):
+            found = equivalence_diagnostics([x + Const(2)], prog=form)
             assert codes(found) == ["T004"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            equivalence_diagnostics([x], engine="interpreter")

@@ -107,7 +107,7 @@ from repro.serve.service import AnalysisService
 service = AnalysisService()
 print(report_exhibit_key("table1"))
 print(artifact_config_key("speech", 2048))
-print(sweep_shard_key("char_lm", [512.0, 768.0], 32, True, "compiled"))
+print(sweep_shard_key("char_lm", [512.0, 768.0], 32, True))
 print(service.canonical("sweep", {"domain": "word_lm"})[1])
 """
 
@@ -133,9 +133,6 @@ class TestKeyStability:
                 != tasks.artifact_config_key("word_lm", 2048))
         assert (tasks.report_exhibit_key("table1")
                 != tasks.report_exhibit_key("table2"))
-        shard = ("nmt", [1.0, 2.0], 64, True)
-        assert (tasks.sweep_shard_key(*shard, "compiled")
-                != tasks.sweep_shard_key(*shard, "codegen"))
 
 
 class TestSourceDigest:
@@ -199,8 +196,7 @@ class TestNoGraphInKeys:
         keys = [tasks.report_exhibit_key(name) for name in ALL_REPORTS]
         keys += [tasks.artifact_config_key(domain, 1024)
                  for domain in registry.DOMAINS]
-        keys += [tasks.sweep_shard_key(domain, [512.0], 16, True,
-                                       "compiled")
+        keys += [tasks.sweep_shard_key(domain, [512.0], 16, True)
                  for domain in registry.DOMAINS]
         assert len(set(keys)) == len(keys)
 

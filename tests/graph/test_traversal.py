@@ -13,6 +13,8 @@ from repro.graph import (
 from repro.ops import add, matmul, relu
 from repro.symbolic import symbols
 
+from .. import oracles
+
 b, h = symbols("b h")
 
 
@@ -151,7 +153,6 @@ class TestMemoryGreedy:
     def test_greedy_matches_reference_scan(self):
         """The incremental-heap schedule must equal the seed O(V·ready)
         rescan op for op — same order, not merely same peak."""
-        from repro.graph.traversal import _memory_greedy_order_reference
         from repro.models import build_word_lm
 
         model = build_word_lm(seq_len=6, vocab=120,
@@ -160,16 +161,14 @@ class TestMemoryGreedy:
         for binding in ({"b": 4, "h": 16}, {"b": 64, "h": 48}):
             sizes = evaluate_sizes(g, binding)
             fast = memory_greedy_order(g, sizes)
-            reference = _memory_greedy_order_reference(g, sizes)
+            reference = oracles.memory_greedy_order(g, sizes)
             assert [op.name for op in fast] == [op.name for op in reference]
 
     def test_greedy_matches_reference_on_diamond(self):
-        from repro.graph.traversal import _memory_greedy_order_reference
-
         g = diamond_graph()
         sizes = evaluate_sizes(g)
         assert memory_greedy_order(g, sizes) == \
-            _memory_greedy_order_reference(g, sizes)
+            oracles.memory_greedy_order(g, sizes)
 
 
 class TestEvaluateSizes:
@@ -186,14 +185,13 @@ class TestEvaluateSizes:
             evaluate_sizes(g)
 
     def test_matches_treewalk_reference(self):
-        from repro.graph.traversal import _evaluate_sizes_treewalk
         from repro.models import build_word_lm
 
         g = build_word_lm(seq_len=5, vocab=200,
                           layers=1).with_training_step().graph
         binding = {"b": 8, "h": 32}
         assert evaluate_sizes(g, binding) == \
-            _evaluate_sizes_treewalk(g, binding)
+            oracles.evaluate_sizes(g, binding)
 
     def test_evaluate_sizes_many_matches_scalar(self):
         from repro.graph.traversal import evaluate_sizes_many

@@ -1,21 +1,29 @@
-"""Test-only reference oracles: the op-by-op loops production replaced.
+"""Test-only reference oracles: the op-by-op loops and recursive tree
+walks production replaced.
 
 Production code reads each graph's cost table
 (:meth:`repro.graph.Graph.cost_groups`) and evaluates every distinct
 op cost once; the allocator keeps its LRU in an insertion-ordered dict
 with running byte totals; footprints replay int lists aligned with the
-graph's traversal index.  The straightforward per-op versions live
-here so the tests can hold the fast paths to them — ``is``-identical
-symbolic aggregates, bit-equal floats, field-equal allocator reports
-and footprint estimates.
+graph's traversal index; every expression is evaluated by replaying
+the generated-source form of a compiled tape; and the posynomial
+queries run on flat ``Poly`` arrays.  The straightforward versions —
+per-op loops, recursive ``Expr.evalf``, the seed greedy rescan and the
+recursive expand/degree/coefficient — live here so the tests (and
+``benchmarks/bench_compile_eval.py``) can hold the fast paths to them:
+``is``-identical symbolic aggregates, bit-equal floats, field-equal
+allocator reports, footprint estimates and sweep rows.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.analysis.counters import _SWEEP_AGGREGATES, StepCounts
 from repro.analysis.footprint import FootprintEstimate
+from repro.analysis.sweep import _GREEDY_OP_LIMIT, SweepRow
 from repro.graph import (
     Graph,
     Op,
@@ -23,7 +31,6 @@ from repro.graph import (
     inplace_aliases,
     liveness_peak_aliased,
 )
-from repro.graph.traversal import _memory_greedy_order_reference
 from repro.hardware.cache import cache_aware_op_bytes
 from repro.planner.model_parallel import StageCosts
 from repro.runtime.allocator import (
@@ -31,7 +38,20 @@ from repro.runtime.allocator import (
     AllocatorConfig,
     _rounded,
 )
-from repro.symbolic import Add, Const, Expr
+from repro.symbolic import (
+    Add,
+    Ceil,
+    Const,
+    Expr,
+    Floor,
+    Log,
+    Max,
+    Min,
+    Mul,
+    Pow,
+    Symbol,
+    as_expr,
+)
 
 
 def total_flops(graph: Graph) -> Expr:
@@ -175,15 +195,9 @@ def simulate_allocator(graph: Graph, order: Sequence[Op],
 
 def evaluate_sizes(graph: Graph,
                    bindings: Optional[Mapping] = None) -> Dict[Tensor, int]:
-    """Per-tensor recursive ``evalf`` (memoized per size expression)."""
-    memo: Dict[object, int] = {}
-    sizes: Dict[Tensor, int] = {}
-    for t in graph.tensors.values():
-        expr = t.size_bytes()
-        if expr not in memo:
-            memo[expr] = int(round(expr.evalf(bindings)))
-        sizes[t] = memo[expr]
-    return sizes
+    """One recursive ``evalf`` per tensor (the seed sizing)."""
+    return {t: int(round(t.size_bytes().evalf(bindings)))
+            for t in graph.tensors.values()}
 
 
 def topological_order(graph: Graph) -> List[Op]:
@@ -203,6 +217,57 @@ def topological_order(graph: Graph) -> List[Op]:
                 pending[consumer] -= 1
                 if pending[consumer] == 0:
                     heapq.heappush(ready, op_index[consumer])
+    if len(order) != len(graph.ops):
+        raise ValueError(f"graph {graph.name} has a cycle")
+    return order
+
+
+def memory_greedy_order(graph: Graph,
+                        sizes: Mapping[Tensor, int]) -> List[Op]:
+    """The seed O(V·ready·degree) greedy scan: every step rescans the
+    ready list for the op that grows live bytes the least."""
+    op_index = {op: i for i, op in enumerate(graph.ops)}
+    pending: Dict[Op, int] = {}
+    remaining = {t: len(t.consumers) for t in graph.tensors.values()}
+    ready: List[Op] = []
+
+    for op in graph.ops:
+        producers = {t.producer for t in op.inputs if t.producer is not None}
+        pending[op] = len(producers)
+        if pending[op] == 0:
+            ready.append(op)
+
+    def delta(op: Op) -> int:
+        grow = sum(
+            sizes[t] for t in op.outputs if not t.is_persistent
+        )
+        shrink = 0
+        seen = set()
+        for t in op.inputs:
+            if t.is_persistent or t in seen:
+                continue
+            seen.add(t)
+            uses = sum(1 for c in t.consumers if c is op)
+            if remaining[t] - uses == 0:
+                shrink += sizes[t]
+        return grow - shrink
+
+    order: List[Op] = []
+    while ready:
+        best = min(ready, key=lambda op: (delta(op), op_index[op]))
+        ready.remove(best)
+        order.append(best)
+        seen = set()
+        for t in best.inputs:
+            if t in seen:
+                continue
+            seen.add(t)
+            remaining[t] -= sum(1 for c in t.consumers if c is best)
+        for out in best.outputs:
+            for consumer in out.consumers:
+                pending[consumer] -= 1
+                if pending[consumer] == 0:
+                    ready.append(consumer)
     if len(order) != len(graph.ops):
         raise ValueError(f"graph {graph.name} has a cycle")
     return order
@@ -245,7 +310,7 @@ def estimate_footprint(model, bindings: Optional[Mapping] = None, *,
     aliases = inplace_aliases(graph) if inplace else None
     orders = [topological_order(graph)]
     if use_greedy:
-        orders.append(_memory_greedy_order_reference(graph, sizes))
+        orders.append(memory_greedy_order(graph, sizes))
     if aliases:
         peaks = [liveness_peak_aliased(graph, order, sizes, aliases)
                  for order in orders]
@@ -266,3 +331,142 @@ def estimate_footprint(model, bindings: Optional[Mapping] = None, *,
         persistent_bytes=persistent,
         lower_bound_bytes=persistent + working_set,
     )
+
+
+def sweep_aggregates(counts: StepCounts,
+                     bindings: Sequence[Mapping]) -> List[List[float]]:
+    """Every sweep aggregate at every binding, one recursive ``evalf``
+    each (columns in ``StepCounts.sweep_series`` order)."""
+    exprs = [getattr(counts, name) for name in _SWEEP_AGGREGATES]
+    return [[e.evalf(b) for e in exprs] for b in bindings]
+
+
+def sweep_rows(counts: StepCounts, sizes: Sequence[float], subbatch: int,
+               *, include_footprint: bool = True) -> List[SweepRow]:
+    """The seed sweep: a tree walk per aggregate per size, and the
+    mapping-based footprint under the production greedy-op limit."""
+    model = counts.model
+    use_greedy = len(model.graph) <= _GREEDY_OP_LIMIT
+    rows: List[SweepRow] = []
+    for size in sizes:
+        b = counts.bind(size, subbatch)
+        step_bytes = counts.step_bytes.evalf(b)
+        footprint = (estimate_footprint(model, b, use_greedy=use_greedy)
+                     .minimal_bytes if include_footprint else 0.0)
+        rows.append(SweepRow(
+            size=size,
+            params=counts.params.evalf(b),
+            flops_per_sample=counts.flops_per_sample.evalf(b),
+            step_bytes=step_bytes,
+            intensity=(counts.step_flops.evalf(b) / step_bytes
+                       if step_bytes else 0.0),
+            footprint_bytes=float(footprint),
+            bytes_fixed=counts.bytes_fixed.evalf(b),
+            bytes_per_sample=counts.bytes_per_sample.evalf(b),
+        ))
+    return rows
+
+
+# ---------------------------------------------------------------------
+# Posynomial queries — the pre-flat recursive implementations behind
+# ``repro.symbolic.expand`` / ``degree`` / ``coefficient``.
+
+def expand(expr: Expr) -> Expr:
+    expr = as_expr(expr)
+    if isinstance(expr, (Const, Symbol)):
+        return expr
+    if isinstance(expr, Add):
+        return Add.of(*(expand(arg) for arg in expr.args()))
+    if isinstance(expr, Pow):
+        base = expand(expr.base)
+        exponent = expand(expr.exponent)
+        if (
+            isinstance(base, Add)
+            and isinstance(exponent, Const)
+            and exponent.value.denominator == 1
+            and exponent.value >= 2
+        ):
+            n = int(exponent.value)
+            out = base
+            for _ in range(n - 1):
+                out = _mul_expand(out, base)
+            return out
+        return Pow.of(base, exponent)
+    if isinstance(expr, Mul):
+        parts = [expand(arg) for arg in expr.args()]
+        result = parts[0]
+        for part in parts[1:]:
+            result = _mul_expand(result, part)
+        return result
+    if isinstance(expr, Max):
+        return Max.of(*(expand(a) for a in expr.fargs))
+    if isinstance(expr, Min):
+        return Min.of(*(expand(a) for a in expr.fargs))
+    if isinstance(expr, (Ceil, Floor, Log)):
+        return type(expr).of(expand(expr.fargs[0]))
+    raise TypeError(f"cannot expand {type(expr).__name__}")
+
+
+def _mul_expand(a: Expr, b: Expr) -> Expr:
+    a_terms = a.args() if isinstance(a, Add) else (a,)
+    b_terms = b.args() if isinstance(b, Add) else (b,)
+    products = [Mul.of(x, y) for x in a_terms for y in b_terms]
+    return Add.of(*products)
+
+
+def _term_degree(term: Expr, sym: Symbol) -> Optional[Fraction]:
+    """Degree of a product-form term in ``sym``; None if non-posynomial."""
+    if isinstance(term, Const):
+        return Fraction(0)
+    if isinstance(term, Symbol):
+        return Fraction(1) if term == sym else Fraction(0)
+    if isinstance(term, Pow):
+        if not isinstance(term.exponent, Const):
+            return None
+        inner = _term_degree(term.base, sym)
+        if inner is None:
+            return None
+        return inner * term.exponent.value
+    if isinstance(term, Mul):
+        total = Fraction(0)
+        for base, exponent in term.factors:
+            if not isinstance(exponent, Const):
+                return None
+            inner = _term_degree(base, sym)
+            if inner is None:
+                return None
+            total += inner * exponent.value
+        return total
+    if isinstance(term, (Max, Min, Ceil, Floor, Log)):
+        if sym in term.free_symbols():
+            return None
+        return Fraction(0)
+    return None
+
+
+def degree(expr: Expr, sym: Symbol) -> Fraction:
+    expr = expand(as_expr(expr))
+    terms = expr.args() if isinstance(expr, Add) else (expr,)
+    best = None
+    for term in terms:
+        d = _term_degree(term, sym)
+        if d is None:
+            raise ValueError(f"{expr} is not polynomial-like in {sym}")
+        best = d if best is None else max(best, d)
+    return best if best is not None else Fraction(0)
+
+
+def coefficient(expr: Expr, sym: Symbol, power) -> Expr:
+    power = Fraction(power)
+    expr = expand(as_expr(expr))
+    terms = expr.args() if isinstance(expr, Add) else (expr,)
+    matched = []
+    for term in terms:
+        d = _term_degree(term, sym)
+        if d is None:
+            raise ValueError(f"{expr} is not polynomial-like in {sym}")
+        if d == power:
+            matched.append(Mul.of(term, Pow.of(sym, Const(-power))))
+    if not matched:
+        return Const(0)
+    return Add.of(*matched)

@@ -15,16 +15,19 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.analysis.counters import StepCounts
 from repro.analysis.sweep import sweep_domain
 from repro.check import ERROR, INFO, WARNING
 from repro.check.driver import lint_registry
 from repro.hardware.accelerator import V100_LIKE
 from repro.hardware.roofline import roofline_time
+from repro.models.registry import build_symbolic
 from repro.planner.subbatch import choose_subbatch
 from repro.reports import ALL_REPORTS
 from repro.scaling.project import project_all
 from repro.serve import running_server, snapshot_exhibit
 
+from .. import oracles
 from ..golden._compare import diff_exhibit
 from ..helpers import http_get, http_post
 
@@ -59,13 +62,21 @@ def test_sweep_rows_match_library(server):
 
 
 def test_sweep_engine_and_footprint_flags(server):
+    """The served rows hold to an independent evaluator: the tree-walk
+    sweep oracle, which shares no evaluation code with the server."""
     body = post(server, "/v1/sweep",
                 {"domain": "image", "sizes": [1.0, 2.0],
-                 "engine": "treewalk", "include_footprint": False})
-    oracle = sweep_domain("image", sizes=(1.0, 2.0),
-                          engine="treewalk",
-                          include_footprint=False)
-    assert body["result"]["rows"] == [asdict(r) for r in oracle.rows]
+                 "include_footprint": False})
+    result = body["result"]
+    assert "engine" not in result
+    oracle = oracles.sweep_rows(StepCounts(build_symbolic("image")),
+                                [1.0, 2.0], result["subbatch"],
+                                include_footprint=False)
+    assert len(result["rows"]) == len(oracle) == 2
+    for served, want in zip(result["rows"], oracle):
+        assert served.keys() == asdict(want).keys()
+        for name, value in asdict(want).items():
+            assert served[name] == pytest.approx(value, rel=1e-9), name
 
 
 def test_plan_matches_library(server):
@@ -123,7 +134,7 @@ def test_equivalent_requests_share_one_key(server):
     omitted field are the same query (and the same cache entry)."""
     explicit = post(server, "/v1/sweep",
                     {"domain": "word_lm", "sizes": SIZES,
-                     "engine": "compiled", "include_footprint": True})
+                     "include_footprint": True})
     implicit = post(server, "/v1/sweep",
                     {"domain": "word_lm", "sizes": SIZES})
     assert explicit["key"] == implicit["key"]

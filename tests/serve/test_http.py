@@ -83,10 +83,12 @@ def test_unknown_field_is_rejected(server):
 
 
 def test_invalid_engine_and_sizes(server):
+    # there is one evaluation path: naming an engine is an unknown field
     status, body = http_post(
         server.url + "/v1/sweep",
-        {"domain": "word_lm", "engine": "warp"})
+        {"domain": "word_lm", "engine": "compiled"})
     assert status == 400
+    assert body["error"]["code"] == "E-BIND"
     assert "engine" in body["error"]["message"]
 
     status, body = http_post(

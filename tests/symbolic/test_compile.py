@@ -169,18 +169,17 @@ class TestDomainGraphsProperty:
 
     @pytest.mark.parametrize("key", ["word_lm", "image"])
     def test_tensor_sizes_match_treewalk(self, key):
-        from repro.graph.traversal import (
-            _evaluate_sizes_treewalk,
-            evaluate_sizes,
-        )
+        from repro.graph.traversal import evaluate_sizes
         from repro.models.registry import build_symbolic, get_domain
+
+        from .. import oracles
 
         entry = get_domain(key)
         model = build_symbolic(key)
         binding = {model.size_symbol: list(entry.sweep_sizes)[0],
                    model.batch: entry.subbatch}
         assert evaluate_sizes(model.graph, binding) == \
-            _evaluate_sizes_treewalk(model.graph, binding)
+            oracles.evaluate_sizes(model.graph, binding)
 
 
 class TestEvalfFn:

@@ -6,8 +6,7 @@ that the codebase keeps for exactly this purpose:
 * **flat ≡ treewalk** — ``expand`` / ``degree`` / ``coefficient`` /
   ``degrees`` computed on the flat ``Poly`` arrays must agree —
   structurally, and on the ``ValueError`` domain — with the pre-flat
-  recursive ``_*_treewalk`` implementations retained in
-  :mod:`repro.symbolic.poly`;
+  recursive implementations kept in ``tests/oracles.py``;
 * **codegen ≡ replay** — the fused tape and the generated-source
   evaluator must be *bit-identical* to plain tape replay and to the
   recursive ``evalf`` tree walk on scalar paths.
@@ -35,12 +34,9 @@ from repro.symbolic import (
     expand,
     symbols,
 )
-from repro.symbolic.poly import (
-    _coefficient_treewalk,
-    _degree_treewalk,
-    _expand_treewalk,
-)
 from repro.symbolic.printing import to_str
+
+from .. import oracles
 
 x, y, z = symbols("x y z")
 SYMS = (x, y, z)
@@ -147,13 +143,13 @@ class TestFlatVersusTreewalk:
     @given(nested_posynomials())
     @settings(max_examples=150, deadline=None)
     def test_expand_matches_treewalk(self, expr):
-        assert expand(expr) == _expand_treewalk(expr)
+        assert expand(expr) == oracles.expand(expr)
 
     @given(with_opaque_atoms(), st.sampled_from(SYMS))
     @settings(max_examples=150, deadline=None)
     def test_degree_matches_treewalk(self, expr, sym):
         try:
-            want = _degree_treewalk(expr, sym)
+            want = oracles.degree(expr, sym)
         except ValueError:
             with pytest.raises(ValueError):
                 degree(expr, sym)
@@ -165,7 +161,7 @@ class TestFlatVersusTreewalk:
     @settings(max_examples=150, deadline=None)
     def test_coefficient_matches_treewalk(self, expr, sym, power):
         try:
-            want = _coefficient_treewalk(expr, sym, power)
+            want = oracles.coefficient(expr, sym, power)
         except ValueError:
             with pytest.raises(ValueError):
                 coefficient(expr, sym, power)
@@ -176,7 +172,7 @@ class TestFlatVersusTreewalk:
     @settings(max_examples=100, deadline=None)
     def test_degrees_matches_per_symbol_treewalk(self, expr):
         want = {
-            s: _degree_treewalk(expr, s) for s in expr.free_symbols()
+            s: oracles.degree(expr, s) for s in expr.free_symbols()
         }
         assert degrees(expr) == want
 
