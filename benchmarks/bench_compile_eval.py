@@ -1,15 +1,17 @@
 """Benchmark: the production evaluator against the tree-walk oracles.
 
-Production evaluates every expression one way: the fused tape lowered
-to generated source (``CompiledExpr.codegen()``).  This benchmark times
-it against the recursive ``Expr.evalf`` oracles in ``tests/oracles.py``
-on the word-LM and ResNet (image) sweeps, at three levels:
+Production evaluates the sweep aggregates as their fused tape lowered
+to generated source (``CompiledExpr.codegen()``) and tensor sizes by
+replaying the graph's size tape.  This benchmark times both against the
+recursive ``Expr.evalf`` oracles in ``tests/oracles.py`` on the word-LM
+and ResNet (image) sweeps, at three levels:
 
 * ``aggregates`` — the Figure 7-10 aggregate expressions at every sweep
   size: the aggregate tape's codegen form replayed per size vs one
   ``evalf`` per aggregate per size;
 * ``tensor_sizes`` — per-tensor byte sizes of the training graph at the
-  largest sweep size: ``evaluate_sizes`` vs one ``evalf`` per tensor;
+  largest sweep size: ``evaluate_sizes`` (one size-tape replay) vs one
+  ``evalf`` per tensor;
 * ``sweep_domain`` — every sweep row, footprints included:
   ``compute_sweep_rows`` vs the seed sweep (tree-walk aggregates,
   mapping-based footprints with the O(V·ready·degree) greedy rescan).
@@ -142,7 +144,7 @@ def _bench_tensor_sizes(key: str) -> dict:
     model = build_symbolic(key)
     binding = {model.size_symbol: list(entry.sweep_sizes)[-1],
                model.batch: entry.subbatch}
-    size_program(model.graph)[1].codegen()  # compile and lower once
+    size_program(model.graph)  # compile once, as the graph index does
 
     oracle_s, reference = _best(
         lambda: oracles.evaluate_sizes(model.graph, binding))

@@ -199,23 +199,22 @@ class StepCounts:
         return series
 
     def eval_params(self, size=None) -> float:
-        return self.compiled("params")(self.bind(size))
+        return self.compiled("params").codegen()(self.bind(size))
 
     def eval_step_flops(self, size=None, subbatch=None) -> float:
-        return self.compiled("step_flops")(self.bind(size, subbatch))
+        return self.compiled("step_flops").codegen()(self.bind(size, subbatch))
 
     def eval_step_bytes(self, size=None, subbatch=None) -> float:
-        return self.compiled("step_bytes")(self.bind(size, subbatch))
+        return self.compiled("step_bytes").codegen()(self.bind(size, subbatch))
 
     def eval_flops_per_sample(self, size=None) -> float:
-        return self.compiled("flops_per_sample")(self.bind(size))
+        return self.compiled("flops_per_sample").codegen()(self.bind(size))
 
     def eval_intensity(self, size=None, subbatch=None) -> float:
         """Graph-level operational intensity, FLOP/B (Fig. 9/11)."""
         bindings = self.bind(size, subbatch)
-        flops, total_bytes = self.compiled("step_flops", "step_bytes")(
-            bindings
-        )
+        flops, total_bytes = self.compiled(
+            "step_flops", "step_bytes").codegen()(bindings)
         if total_bytes == 0:
             return 0.0
         return flops / total_bytes

@@ -11,12 +11,12 @@ estimate for validation.
 Every point is index-native: it reads the graph's traversal index
 (:func:`repro.graph.traversal.graph_index`), whose size program,
 liveness tables and greedy tables are built once per graph.  A point
-replays the size program's generated-source form into one int list
-aligned with the index's tensors, and persistent bytes, both
-schedules' peaks and the working-set bound (a max over the graph's few
-dozen distinct working sets) all read that list — no per-point tensor
-dict, no per-op sets.  The mapping-based reference (per-tensor
-``evalf``, the seed greedy rescan) lives in ``tests/oracles.py``.
+replays the size program into one int list aligned with the index's
+tensors, and persistent bytes, both schedules' peaks and the
+working-set bound (a max over the graph's few dozen distinct working
+sets) all read that list — no per-point tensor dict, no per-op sets.
+The mapping-based reference (per-tensor ``evalf``, the seed greedy
+rescan) lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

@@ -256,9 +256,13 @@ class GraphIndex:
 
     def slot_sizes(self, bindings: Optional[Mapping] = None) -> List[int]:
         """Bytes of each distinct size expression under ``bindings``
-        (one replay of the size tape's generated-source form)."""
-        program = self.size_program()[2].codegen()
-        return [int(round(v)) for v in program(bindings)]
+        (one replay of the size tape).
+
+        The tape is replayed as is, not lowered to generated source:
+        it has a few dozen instructions and a sweep replays it once
+        per point, so the lowering would cost more than it saves.
+        """
+        return [int(round(v)) for v in self.size_program()[2](bindings)]
 
     def sizes(self, slot_sizes: Sequence[int]) -> List[int]:
         """Per-tensor bytes, aligned with :attr:`tensors`, from this
@@ -403,11 +407,8 @@ def evaluate_sizes(graph: Graph,
                    bindings: Optional[Mapping] = None) -> Dict[Tensor, int]:
     """Concrete byte size per tensor under the given symbol bindings.
 
-    Replays the generated-source form of the graph's cached size
-    program — one straight-line call for the whole graph, identical
-    floats to the per-tensor tree walk.  The generated function is
-    cached on the program, so the lowering cost is paid once per
-    graph.
+    Replays the graph's cached size program — one tape replay for the
+    whole graph, identical floats to the per-tensor tree walk.
     """
     index = graph_index(graph)
     sizes = index.sizes(index.slot_sizes(bindings))

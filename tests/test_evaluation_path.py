@@ -1,4 +1,4 @@
-"""Production has one evaluation path: the fused tape's generated source.
+"""Production evaluation has no engine option and no oracles.
 
 No production signature takes an ``engine`` argument, and the
 reference evaluators (recursive tree walks, the seed greedy rescan)
